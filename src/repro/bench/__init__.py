@@ -1,6 +1,5 @@
 """Benchmark harness and per-figure experiment reproductions."""
 
-from .event_trace import EventTraceRecorder
 from .executor import (
     RunSession,
     metrics_collected,
@@ -13,7 +12,6 @@ from .harness import RunConfig, RunResult, WorkloadRunner
 from .reporting import ExperimentResult, Series
 
 __all__ = [
-    "EventTraceRecorder",
     "ExperimentResult",
     "RunConfig",
     "RunResult",

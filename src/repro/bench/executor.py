@@ -132,7 +132,6 @@ class Cell:
     workers: int = 1
     extra_worker_counts: tuple[int, ...] = (16,)
     with_wal: bool = True
-    trace_events: bool = False
     #: Attach a MetricsHub over this cell's measurement window.  Also
     #: forced on for every cell while :func:`metrics_collection` is
     #: active (the CLI's ``--metrics-out`` path).
@@ -934,7 +933,6 @@ def run_cell(cell: Cell) -> RunResult:
             measure_ops=cell.effort.measure_ops,
             workers=cell.workers,
             with_wal=cell.with_wal,
-            trace_events=cell.trace_events,
             collect_metrics=cell.collect_metrics or metrics_collected(),
             batch_size=active_batch_size() or cell.batch_size,
             track_tenants=tagging,

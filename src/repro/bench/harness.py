@@ -18,12 +18,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..core.buffer_manager import BufferManager
+from ..core.events import edge_delta, edge_report
 from ..core.stats import BufferStats
 from ..hardware.specs import Tier
 from ..obs.decisions import DecisionRecorder
 from ..obs.hub import DEFAULT_EPOCH_NS, MetricsHub
 from ..obs.tracer import PageLifecycleTracer
-from .event_trace import EventTraceRecorder
 from ..wal.checkpoint import Checkpointer
 from ..wal.log_manager import LogManager
 from ..wal.records import LogRecordType
@@ -55,9 +55,6 @@ class RunConfig:
     checkpoint_interval_ops: int | None = 2_000
     #: Operations between inclusivity samples.
     inclusivity_sample_every: int = 2_000
-    #: Record a per-edge event trace over the measurement window
-    #: (:class:`~repro.bench.event_trace.EventTraceRecorder`).
-    trace_events: bool = False
     #: Attach a :class:`~repro.obs.hub.MetricsHub` over the measurement
     #: window; the run result then carries a metrics snapshot.
     collect_metrics: bool = False
@@ -106,8 +103,9 @@ class RunResult:
     makespan_ns: float
     #: Throughput recomputed for other worker counts from the same run.
     throughput_by_workers: dict[int, float] = field(default_factory=dict)
-    #: Per-edge event counts (only when ``RunConfig.trace_events``).
-    event_trace: dict[str, int] | None = None
+    #: The measurement window's per-edge event counts, keyed by label
+    #: (``"hit@DRAM"``; :func:`~repro.core.events.edge_report`).
+    event_trace: dict[str, int] = field(default_factory=dict)
     #: MetricsHub snapshot — registry state plus epoch gauge series
     #: (only when ``RunConfig.collect_metrics``).
     metrics: dict | None = None
@@ -542,17 +540,15 @@ class WorkloadRunner:
         # "we warm up the system until the buffer pool is full").
         self.hierarchy.reset_accounting()
         self.bm.reset_stats()
+        window_start = self.bm.events.snapshot()
         # Measurement-window observers are detached in the ``finally``
         # below even when the workload raises: a leaked subscription
         # would double-count every later measurement on this bus (and a
         # slow-path subscriber would silently disable the bus fast path).
-        trace = None
         hub = None
         tracer = None
         decisions = None
         try:
-            if config.trace_events:
-                trace = EventTraceRecorder().attach(self.bm)
             if config.collect_metrics or config.track_tenants:
                 hub = MetricsHub(epoch_ns=config.metrics_epoch_ns,
                                  track_tenants=config.track_tenants)
@@ -601,8 +597,6 @@ class WorkloadRunner:
             if self.bm.inclusivity.num_samples == 0:
                 self.bm.sample_inclusivity()
         finally:
-            if trace is not None:
-                trace.detach()
             if hub is not None:
                 hub.detach()  # flushes the in-flight op first
             if decisions is not None:
@@ -616,17 +610,18 @@ class WorkloadRunner:
         for workers in extra_worker_counts:
             by_workers[workers] = self.hierarchy.throughput(operations, workers)
         metrics_snapshot = hub.snapshot() if hub is not None else None
+        window = edge_delta(self.bm.events.snapshot(), window_start)
         return RunResult(
             label=label,
             operations=operations,
             throughput=throughput,
             workers=config.workers,
-            stats=self.bm.stats.snapshot(),
+            stats=BufferStats.from_edges(window),
             inclusivity=self.bm.inclusivity.mean_ratio(),
             nvm_write_gb=self.bm.nvm_write_volume_gb(),
             makespan_ns=makespan,
             throughput_by_workers=by_workers,
-            event_trace=trace.report() if trace is not None else None,
+            event_trace=edge_report(window),
             metrics=metrics_snapshot if config.collect_metrics else None,
             page_traces=tracer.snapshot() if tracer is not None else None,
             resource_usage={

@@ -28,7 +28,7 @@ from .buffer_manager import (
 )
 from .descriptors import SharedPageDescriptor, TierPageDescriptor
 from .devio import device_read, device_write
-from .events import BufferEvent, EventBus, EventType, StatsProjector
+from .events import BufferEvent, EventBus, EventType, edge_delta, edge_report
 from .fine_grained import FineGrainedOps
 from .flush_engine import FlushEngine
 from .hymem import make_hymem
@@ -89,7 +89,6 @@ __all__ = [
     "SharedPageDescriptor",
     "SpaceManager",
     "SsdStore",
-    "StatsProjector",
     "TenancyConfig",
     "TenancyControl",
     "TenantRegistry",
@@ -98,6 +97,8 @@ __all__ = [
     "TierPageDescriptor",
     "device_read",
     "device_write",
+    "edge_delta",
+    "edge_report",
     "inclusivity_ratio",
     "make_hymem",
     "recommended_queue_size",

@@ -11,7 +11,8 @@ four-component core plus the three layers PR 1 extracted:
   ``<D_r, D_w, N_r, N_w>`` policy tuple (and HyMem's admission queue),
 * an :class:`~repro.core.events.EventBus` publishing typed
   :class:`~repro.core.events.BufferEvent` records for every hit, miss,
-  install, migration, eviction, write-back, and flush,
+  install, migration, eviction, write-back, and flush, and counting them
+  in the edge table that :attr:`BufferManager.stats` is projected from,
 * the :class:`~repro.core.access_path.AccessPath` — the read/write
   chain walk (§3.1–§3.4): hit scan, promotion climbs, SSD fetches,
   installs, and upward migrations,
@@ -52,7 +53,7 @@ from .access_path import AccessPath, AccessResult
 from .admission import AdmissionQueue, recommended_queue_size
 from .batch_path import BatchAccessPath
 from .descriptors import TierPageDescriptor
-from .events import EventBus, StatsProjector
+from .events import EventBus, edge_delta
 from .fine_grained import FineGrainedOps
 from .flush_engine import FlushEngine
 from .mapping_table import MappingTable
@@ -131,12 +132,10 @@ class BufferManager:
         self.rng = random.Random(self.config.seed)
         self.table = MappingTable(self.config.mapping_shards)
         self.store = SsdStore(hierarchy.device(Tier.SSD), hierarchy.page_size)
-        self.stats = BufferStats()
         self.events = EventBus()
-        self._stats_projector = StatsProjector(self)
-        self.events.subscribe(self._stats_projector)
+        #: Edge-table snapshot taken by the last :meth:`reset_stats`.
+        self._stats_baseline = self.events.snapshot()
         self.inclusivity = InclusivityTracker()
-        self.inclusivity.attach(self.events)
 
         top_entry = MINI_PAGE_BYTES if self.config.mini_pages else None
         self.chain = TierChain.build(
@@ -367,14 +366,22 @@ class BufferManager:
             return device.snapshot_counters().media_write_bytes / 1e9
         return device.write_volume_gb()
 
+    @property
+    def stats(self) -> BufferStats:
+        """Counters since :meth:`reset_stats`, freshly projected from the
+        event bus's edge table on every read."""
+        return BufferStats.from_edges(
+            edge_delta(self.events.snapshot(), self._stats_baseline)
+        )
+
     def reset_stats(self) -> None:
         """Zero every measurement surface: the stats counters, the
-        inclusivity samples, the event projections, and the per-device
-        transfer/write-volume counters (so e.g. :meth:`nvm_write_volume_gb`
-        restarts from zero alongside the hit counters)."""
-        self.stats = BufferStats()
+        inclusivity samples, and the per-device transfer/write-volume
+        counters (so e.g. :meth:`nvm_write_volume_gb` restarts from zero
+        alongside the hit counters).  The bus's edge table is never reset;
+        only the stats baseline moves."""
+        self._stats_baseline = self.events.snapshot()
         self.inclusivity.reset()
-        self._stats_projector.reset()
         for device in self.hierarchy.devices.values():
             device.reset_counters()
 

@@ -146,6 +146,21 @@ class SharedPageDescriptor:
         ordered = sorted(set(tiers), key=_TIER_ORDER.__getitem__)
         return _LatchGuard(tuple(self._latches[t.rank] for t in ordered))
 
+    def try_latch_all(self) -> bool:
+        """Take every tier latch without blocking: all of them or none
+        (evictors on a victim's page; release with :meth:`unlatch_all`)."""
+        latches = self._latches
+        for index, latch in enumerate(latches):
+            if not latch.acquire(blocking=False):
+                for held in reversed(latches[:index]):
+                    held.release()
+                return False
+        return True
+
+    def unlatch_all(self) -> None:
+        for latch in reversed(self._latches):
+            latch.release()
+
     # ------------------------------------------------------------------
     # Tier copies
     # ------------------------------------------------------------------

@@ -1,31 +1,15 @@
-"""Typed buffer-manager events and the instrumentation bus.
+"""Typed buffer-manager events, the instrumentation bus, and its edge table.
 
-The tier chain emits one :class:`BufferEvent` per notable action — hits,
-misses, installs, migrations up/down the chain, evictions, write-backs,
-flushes, fine-grained loads — and every consumer subscribes to the same
-:class:`EventBus`:
-
-* :class:`StatsProjector` projects events onto the legacy
-  :class:`~repro.core.stats.BufferStats` counters (so the Table-2 /
-  Fig-6..15 reporting pipeline is unchanged),
-* the :class:`~repro.tuning.controller.AdaptiveController` counts epoch
-  operations by subscription instead of polling ``stats.operations``,
-* the bench-side :class:`~repro.bench.event_trace.EventTraceRecorder`
-  aggregates per-edge traffic for any chain depth.
-
-The bus sits on the hottest path, so emission is engineered around two
-invariants:
-
-* :meth:`EventBus.emit` is a plain loop over an immutable handler tuple
-  (no locking on the read side; subscription changes swap the tuple
-  atomically under a mutation lock),
-* :meth:`EventBus.publish` skips :class:`BufferEvent` construction
-  entirely whenever every subscriber implements the ``apply_event``
-  fast-path protocol — the default subscribers (the stats projector and
-  the inclusivity tracker) do, so the steady-state emission cost is a
-  couple of positional calls with no object allocation.  The first
-  subscriber without ``apply_event`` (e.g. a test's ``list.append``)
-  transparently restores the build-one-event-and-fan-out behaviour.
+The tier chain emits one :class:`BufferEvent` per hit, miss, install,
+migration, eviction, write-back, flush and fine-grained load through one
+:class:`EventBus`, which counts every event in one monotonic *edge
+table* keyed by ``(EventType, src, tier)``.  ``BufferManager.stats``,
+``RunResult.event_trace`` (:func:`edge_report`), the metrics hub's
+traffic counters and the adaptive controller's epoch totals are all
+differences of two table snapshots, so a fresh buffer manager's bus has
+no subscribers.  :meth:`EventBus.publish` skips :class:`BufferEvent`
+construction whenever every subscriber implements the ``apply_event``
+fast-path protocol.
 """
 
 from __future__ import annotations
@@ -33,6 +17,7 @@ from __future__ import annotations
 import contextlib
 import enum
 import threading
+from collections import defaultdict
 from typing import Callable
 
 from ..hardware.specs import Tier
@@ -41,6 +26,10 @@ from ..pages.page import PageId
 
 class EventType(enum.Enum):
     """The kinds of events the tier chain emits."""
+
+    # Identity hashing (members are singletons) keeps the edge table's
+    # per-publish key hashing in C; Enum's default runs Python code.
+    __hash__ = object.__hash__
 
     #: One logical buffer-manager operation started (read or write).
     OP_READ = "op_read"
@@ -106,6 +95,30 @@ class BufferEvent:
 
 EventHandler = Callable[[BufferEvent], None]
 
+#: One edge-table key: ``(event type, source tier, tier)``.
+EdgeKey = tuple[EventType, Tier | None, Tier | None]
+
+
+def edge_delta(now: dict[EdgeKey, int],
+               baseline: dict[EdgeKey, int]) -> dict[EdgeKey, int]:
+    """Edge counts in ``now`` minus ``baseline``, zero entries dropped."""
+    return {key: count - baseline.get(key, 0) for key, count in now.items()
+            if count != baseline.get(key, 0)}
+
+
+def edge_report(counts: dict[EdgeKey, int]) -> dict[str, int]:
+    """Edge counts as sorted ``{label: count}``, zeros dropped.  Labels
+    read ``"migrate_up:NVM->DRAM"``, ``"hit@DRAM"`` or ``"op_read"``."""
+    report: dict[str, int] = {}
+    for (etype, src, tier), count in counts.items():
+        if src is not None and tier is not None and src is not tier:
+            label = f"{etype.value}:{src.name}->{tier.name}"
+        else:
+            label = f"{etype.value}@{tier.name}" if tier is not None else etype.value
+        if count:
+            report[label] = report.get(label, 0) + count
+    return {label: report[label] for label in sorted(report)}
+
 
 class OpBatchSummary:
     """Columnar summary of one contiguous run of fast-path operations.
@@ -155,19 +168,24 @@ class OpBatchSummary:
 
 
 class EventBus:
-    """A minimal synchronous publish/subscribe hub.
+    """A minimal synchronous publish/subscribe hub that counts its events.
 
     Subscription changes rebuild an immutable handler tuple under a
     mutation lock (concurrent ``threading`` workers may attach and
-    detach observers mid-run), so :meth:`emit` and :meth:`publish` —
-    called many times per buffer operation — stay plain lock-free
-    iterations over the current tuple.
+    detach observers mid-run), so :meth:`publish` — called many times
+    per buffer operation — stays a plain lock-free iteration over the
+    current tuple.
     """
 
-    __slots__ = ("_handlers", "_fast_appliers", "_batch_appliers", "_mutate_lock",
-                 "tenant_id")
+    __slots__ = ("counts", "_count_lock", "_handlers", "_fast_appliers",
+                 "_batch_appliers", "_mutate_lock", "tenant_id")
 
     def __init__(self) -> None:
+        #: The edge table: events published per ``(type, src, tier)``,
+        #: never reset (readers difference two :meth:`snapshot` calls).
+        self.counts: defaultdict[EdgeKey, int] = defaultdict(int)
+        #: Guards the table's read-modify-writes across threads.
+        self._count_lock = threading.Lock()
         self._handlers: tuple[EventHandler, ...] = ()
         #: Bound ``apply_event`` methods of every handler, or ``None``
         #: when at least one handler only accepts built events.
@@ -199,8 +217,8 @@ class EventBus:
     @contextlib.contextmanager
     def subscription(self, handler: EventHandler):
         """Scoped subscription: the handler is removed on exit, even when
-        the body raises.  Measurement-window observers (trace recorders,
-        metrics hubs) use this so an aborted run can never leak a
+        the body raises.  Measurement-window observers (metrics hubs,
+        tracers) use this so an aborted run can never leak a
         subscriber into later runs — a leak both double-counts and, for
         handlers without ``apply_event``, silently knocks the bus off
         its allocation-free fast path.
@@ -255,19 +273,17 @@ class EventBus:
         self._fast_appliers = tuple(appliers)
         self._handlers = handlers
 
-    def emit(self, event: BufferEvent) -> None:
-        for handler in self._handlers:
-            handler(event)
-
     def publish(self, type: EventType, page_id: PageId,
                 tier: Tier | None = None, src: Tier | None = None,
                 dirty: bool = False) -> None:
-        """Emit one event, materialising it only when a subscriber needs it.
+        """Count one event and notify the subscribers.
 
         This is the hot-path entry the tier chain uses: when every
         subscriber implements ``apply_event`` the notification is a few
         positional calls and no :class:`BufferEvent` is constructed.
         """
+        with self._count_lock:
+            self.counts[type, src, tier] += 1
         appliers = self._fast_appliers
         if appliers is not None:
             for apply in appliers:
@@ -279,7 +295,8 @@ class EventBus:
             handler(event)
 
     def publish_op_batch(self, summary: OpBatchSummary) -> None:
-        """Fan one batch summary out to every subscriber.
+        """Count one batch summary (as ``summary.count`` per-op OP_READ →
+        HIT [→ DIRECT_READ] sequences) and fan it out to every subscriber.
 
         Only valid while :attr:`batch_path_active`; the batch access
         path guarantees that by re-checking before every run.
@@ -289,110 +306,23 @@ class EventBus:
             raise RuntimeError(
                 "publish_op_batch called while a subscriber lacks apply_op_batch"
             )
+        count, tier, counts = summary.count, summary.tier, self.counts
+        with self._count_lock:
+            counts[EventType.OP_READ, None, None] += count
+            counts[EventType.HIT, None, tier] += count
+            if summary.direct:
+                counts[EventType.DIRECT_READ, None, tier] += count
         for apply in appliers:
             apply(summary)
+
+    # ------------------------------------------------------------------
+    # The edge table
+    # ------------------------------------------------------------------
+    def snapshot(self) -> dict[EdgeKey, int]:
+        """A point-in-time copy of the edge table."""
+        with self._count_lock:
+            return dict(self.counts)
 
     @property
     def num_subscribers(self) -> int:
         return len(self._handlers)
-
-
-class StatsProjector:
-    """Projects chain events onto the legacy :class:`BufferStats` counters.
-
-    The paper's counters name DRAM and NVM explicitly (``dram_hits``,
-    ``ssd_to_nvm``, ...), so the projection maps tier-generic events onto
-    those fields for the tiers they name and additionally keeps generic
-    per-tier tallies (``hits_by_tier``) that cover chains of any depth —
-    a CXL hit is visible there even though no legacy field names it.
-    """
-
-    def __init__(self, owner) -> None:
-        #: The buffer manager whose ``stats`` object receives the counts.
-        #: Resolved per event so that ``reset_stats()`` (which swaps in a
-        #: fresh BufferStats) needs no re-subscription.
-        self._owner = owner
-        self.hits_by_tier: dict[Tier, int] = {}
-
-    def reset(self) -> None:
-        self.hits_by_tier.clear()
-
-    # ------------------------------------------------------------------
-    def __call__(self, event: BufferEvent) -> None:
-        self.apply_event(event.type, event.page_id, event.tier, event.src,
-                         event.dirty)
-
-    def apply_op_batch(self, summary: OpBatchSummary) -> None:
-        """Batched projection of a run of top-tier read hits.
-
-        Equivalent to ``summary.count`` repetitions of the per-op event
-        sequence OP_READ → HIT(tier) [→ DIRECT_READ(tier)].
-        """
-        stats = self._owner.stats
-        count = summary.count
-        tier = summary.tier
-        stats.reads += count
-        self.hits_by_tier[tier] = self.hits_by_tier.get(tier, 0) + count
-        if tier is Tier.DRAM:
-            stats.dram_hits += count
-        elif tier is Tier.NVM:
-            stats.nvm_hits += count
-        if summary.direct and tier is Tier.NVM:
-            stats.nvm_direct_reads += count
-
-    def apply_event(self, etype: EventType, page_id: PageId,
-                    tier: Tier | None, src: Tier | None,
-                    dirty: bool) -> None:
-        """Fast-path projection: same logic as :meth:`__call__`, fed the
-        event fields positionally so the bus can skip building events."""
-        stats = self._owner.stats
-        if etype is EventType.OP_READ:
-            stats.reads += 1
-        elif etype is EventType.OP_WRITE:
-            stats.writes += 1
-        elif etype is EventType.HIT:
-            self.hits_by_tier[tier] = self.hits_by_tier.get(tier, 0) + 1
-            if tier is Tier.DRAM:
-                stats.dram_hits += 1
-            else:
-                # Any non-top hit counts toward the paper's NVM-hit
-                # column only when it is genuinely the NVM tier.
-                if tier is Tier.NVM:
-                    stats.nvm_hits += 1
-        elif etype is EventType.MISS:
-            stats.ssd_fetches += 1
-        elif etype is EventType.INSTALL:
-            if tier is Tier.DRAM:
-                stats.ssd_to_dram += 1
-            elif tier is Tier.NVM:
-                stats.ssd_to_nvm += 1
-        elif etype is EventType.MIGRATE_UP:
-            if src is Tier.NVM and tier is Tier.DRAM:
-                stats.nvm_to_dram += 1
-        elif etype is EventType.MIGRATE_DOWN:
-            if src is Tier.DRAM and tier is Tier.NVM:
-                stats.dram_to_nvm += 1
-        elif etype is EventType.EVICT:
-            if tier is Tier.DRAM:
-                stats.dram_evictions += 1
-            elif tier is Tier.NVM:
-                stats.nvm_evictions += 1
-        elif etype is EventType.WRITE_BACK:
-            if src is Tier.DRAM:
-                stats.dram_to_ssd += 1
-            elif src is Tier.NVM:
-                stats.nvm_to_ssd += 1
-        elif etype is EventType.CLEAN_DROP:
-            stats.clean_drops += 1
-        elif etype is EventType.FLUSH:
-            stats.dirty_page_flushes += 1
-        elif etype is EventType.DIRECT_READ:
-            if tier is Tier.NVM:
-                stats.nvm_direct_reads += 1
-        elif etype is EventType.DIRECT_WRITE:
-            if tier is Tier.NVM:
-                stats.nvm_direct_writes += 1
-        elif etype is EventType.FINE_GRAINED_LOAD:
-            stats.fine_grained_loads += 1
-        elif etype is EventType.MINI_PAGE_PROMOTION:
-            stats.mini_page_promotions += 1

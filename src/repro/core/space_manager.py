@@ -26,6 +26,8 @@ components are mutually recursive through the eviction path.
 
 from __future__ import annotations
 
+import time
+
 from ..hardware.cost_model import StorageHierarchy
 from ..hardware.specs import Tier
 from ..pages.cacheline_page import CacheLinePage
@@ -117,7 +119,7 @@ class SpaceManager:
                 pool.replacer.record_access(victim.frame_index)
                 pool.unclaim(victim)
                 continue
-            self.evict_from_node(node, victim)
+            self._evict_unlatched(node, victim)
 
     def insert_with_space(self, tier: Tier, content: FrameContent,
                           entry_bytes: int,
@@ -163,7 +165,7 @@ class SpaceManager:
             if victim is None:
                 # Everything the tenant holds is pinned or claimed.
                 return
-            self.evict_from_node(node, victim)
+            self._evict_unlatched(node, victim)
 
     def _pick_tenant_victim(self, pool, tenant: int,
                             avoid: PageId) -> TierPageDescriptor | None:
@@ -226,6 +228,31 @@ class SpaceManager:
     # ------------------------------------------------------------------
     # Eviction
     # ------------------------------------------------------------------
+    def _evict_unlatched(self, node: TierNode,
+                         victim: TierPageDescriptor) -> None:
+        """Evict a claimed victim unless another thread latches its page.
+
+        The evictor may hold latches of the page it makes room for, so
+        blocking on the victim's could close a wait cycle with a thread
+        doing the reverse.  The victim's latches are taken all at once
+        without blocking; when one is busy the claim is dropped, the
+        victim gets a second chance and the thread yields before the
+        caller picks again.  Single-threaded, they are always free.
+        """
+        shared = self.table.get(victim.page_id)
+        if shared is None:  # pragma: no cover - defensive
+            self.evict_from_node(node, victim)
+            return
+        if not shared.try_latch_all():
+            node.pool.replacer.record_access(victim.frame_index)
+            node.pool.unclaim(victim)
+            time.sleep(0)
+            return
+        try:
+            self.evict_from_node(node, victim)
+        finally:
+            shared.unlatch_all()
+
     def evict_from_node(self, node: TierNode,
                         descriptor: TierPageDescriptor) -> None:
         """Apply the eviction half of the migration policy (§3.4).

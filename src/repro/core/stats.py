@@ -1,5 +1,9 @@
 """Buffer-manager statistics: hits, migrations, inclusivity, write volume.
 
+:class:`BufferStats` projects the event bus's edge table through
+:data:`STATS_FIELDS`; its fields name DRAM and NVM, so edges on other
+tiers (a CXL hit) show only in the tier-generic edge report.
+
 The inclusivity ratio (§3.3) quantifies duplication across the DRAM and
 NVM buffers::
 
@@ -15,7 +19,8 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, fields
 
-from .events import EventType
+from ..hardware.specs import Tier
+from .events import EdgeKey, EventType
 
 
 @dataclass
@@ -45,9 +50,6 @@ class BufferStats:
     mini_page_promotions: int = 0
     fine_grained_loads: int = 0
 
-    def record(self, counter: str, amount: int = 1) -> None:
-        setattr(self, counter, getattr(self, counter) + amount)
-
     @property
     def operations(self) -> int:
         return self.reads + self.writes
@@ -73,20 +75,18 @@ class BufferStats:
     def downward_migrations(self) -> int:
         return self.dram_to_nvm + self.dram_to_ssd + self.nvm_to_ssd
 
+    @classmethod
+    def from_edges(cls, counts: dict[EdgeKey, int]) -> "BufferStats":
+        """Project edge counts (a window of the bus's table) onto the fields."""
+        stats = cls()
+        for key, count in counts.items():
+            name = STATS_FIELDS.get(key)
+            if name is not None:
+                setattr(stats, name, getattr(stats, name) + count)
+        return stats
+
     def as_dict(self) -> dict[str, int]:
         return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    def snapshot(self) -> "BufferStats":
-        copy = BufferStats()
-        for f in fields(self):
-            setattr(copy, f.name, getattr(self, f.name))
-        return copy
-
-    def delta_since(self, baseline: "BufferStats") -> "BufferStats":
-        delta = BufferStats()
-        for f in fields(self):
-            setattr(delta, f.name, getattr(self, f.name) - getattr(baseline, f.name))
-        return delta
 
     def merge(self, other: "BufferStats") -> "BufferStats":
         """Add another run's counters into this one (returns ``self``).
@@ -98,6 +98,31 @@ class BufferStats:
         for f in fields(self):
             setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
         return self
+
+
+#: The ``BufferStats`` field each ``(type, src, tier)`` edge feeds.
+STATS_FIELDS: dict[EdgeKey, str] = {
+    (EventType.OP_READ, None, None): "reads",
+    (EventType.OP_WRITE, None, None): "writes",
+    (EventType.HIT, None, Tier.DRAM): "dram_hits",
+    (EventType.HIT, None, Tier.NVM): "nvm_hits",
+    (EventType.MISS, None, Tier.SSD): "ssd_fetches",
+    (EventType.DIRECT_READ, None, Tier.NVM): "nvm_direct_reads",
+    (EventType.DIRECT_WRITE, None, Tier.NVM): "nvm_direct_writes",
+    (EventType.INSTALL, Tier.SSD, Tier.DRAM): "ssd_to_dram",
+    (EventType.INSTALL, Tier.SSD, Tier.NVM): "ssd_to_nvm",
+    (EventType.MIGRATE_UP, Tier.NVM, Tier.DRAM): "nvm_to_dram",
+    (EventType.MIGRATE_DOWN, Tier.DRAM, Tier.NVM): "dram_to_nvm",
+    (EventType.WRITE_BACK, Tier.DRAM, Tier.SSD): "dram_to_ssd",
+    (EventType.WRITE_BACK, Tier.NVM, Tier.SSD): "nvm_to_ssd",
+    (EventType.EVICT, None, Tier.DRAM): "dram_evictions",
+    (EventType.EVICT, None, Tier.NVM): "nvm_evictions",
+    (EventType.FINE_GRAINED_LOAD, None, Tier.NVM): "fine_grained_loads",
+    (EventType.MINI_PAGE_PROMOTION, None, Tier.DRAM): "mini_page_promotions",
+    # Clean drops and checkpoint flushes count on every tier.
+    **{(EventType.CLEAN_DROP, None, tier): "clean_drops" for tier in Tier},
+    **{(EventType.FLUSH, None, tier): "dirty_page_flushes" for tier in Tier},
+}
 
 
 def inclusivity_ratio(dram_pages: set[int], nvm_pages: set[int]) -> float:
@@ -132,42 +157,12 @@ class InclusivityTracker:
 
     Table 2 of the paper reports steady-state inclusivity; sampling every
     N operations and averaging avoids a misleading single end-of-run
-    observation.  When attached to the buffer manager's event bus the
-    tracker also tallies the up/down migrations between samples, which is
-    the traffic that creates (and destroys) the duplication the ratio
-    measures.
+    observation.
     """
 
     def __init__(self) -> None:
         self._samples: list[InclusivitySample] = []
         self._lock = threading.Lock()
-        self.migrations_up = 0
-        self.migrations_down = 0
-
-    def attach(self, bus) -> "InclusivityTracker":
-        """Subscribe to a :class:`~repro.core.events.EventBus`."""
-        bus.subscribe(self)
-        return self
-
-    def __call__(self, event) -> None:
-        self.apply_event(event.type, event.page_id, event.tier, event.src,
-                         event.dirty)
-
-    # Kept as an alias: callers historically subscribed ``observe_event``.
-    def observe_event(self, event) -> None:
-        self(event)
-
-    def apply_op_batch(self, summary) -> None:
-        """Bus batch path: fast-path runs contain no migrations."""
-
-    def apply_event(self, etype, page_id, tier, src, dirty) -> None:
-        """Bus fast path: count migrations without building an event."""
-        if etype is EventType.MIGRATE_UP:
-            with self._lock:
-                self.migrations_up += 1
-        elif etype is EventType.MIGRATE_DOWN:
-            with self._lock:
-                self.migrations_down += 1
 
     def sample(self, dram_pages: set[int], nvm_pages: set[int]) -> InclusivitySample:
         observation = InclusivitySample(
@@ -193,5 +188,3 @@ class InclusivityTracker:
     def reset(self) -> None:
         with self._lock:
             self._samples.clear()
-            self.migrations_up = 0
-            self.migrations_down = 0

@@ -101,7 +101,9 @@ class BufferPool:
             self._by_page[content.page_id] = descriptor
             self._entry_bytes[frame] = entry_bytes
             self.used_bytes += entry_bytes
-        self.replacer.insert(frame)
+            # Under the pool lock, so a frame freed and reused by
+            # concurrent threads can never be left untracked.
+            self.replacer.insert(frame)
         return descriptor
 
     def remove(self, descriptor: TierPageDescriptor) -> None:
@@ -115,7 +117,7 @@ class BufferPool:
             del self._by_page[descriptor.page_id]
             self.used_bytes -= self._entry_bytes.pop(frame)
             self._free.append(frame)
-        self.replacer.remove(frame)
+            self.replacer.remove(frame)
 
     def resize_entry(self, descriptor: TierPageDescriptor, new_bytes: int) -> None:
         """Adjust occupancy when a mini page is promoted to a full page."""
@@ -139,14 +141,12 @@ class BufferPool:
                 return None
             with self.lock:
                 descriptor = self._frames[frame]
-                if descriptor is not None and not descriptor.pinned \
-                        and not descriptor.claimed:
+                if descriptor is None:
+                    continue  # removed (and untracked) since the sweep
+                if not descriptor.pinned and not descriptor.claimed:
                     descriptor.claimed = True
                     return descriptor
-            if descriptor is None:
-                self.replacer.remove(frame)
-            else:
-                self.replacer.record_access(frame)
+            self.replacer.record_access(frame)
         return None
 
     def unclaim(self, descriptor: TierPageDescriptor) -> None:

@@ -49,6 +49,11 @@ class Tier(enum.Enum):
     NVM = "nvm"
     SSD = "ssd"
 
+    # Identity hashing (members are singletons) keeps tier-keyed dict
+    # lookups, such as the event bus's edge table, in C; Enum's default
+    # runs Python code.
+    __hash__ = object.__hash__
+
     def __lt__(self, other: "Tier") -> bool:
         return _TIER_RANK[self] < _TIER_RANK[other]
 

@@ -1,10 +1,11 @@
 """The MetricsHub: an event-bus subscriber that derives live metrics.
 
 One hub attaches to one buffer manager for one measurement window and
-projects the event stream onto a :class:`~repro.obs.metrics.MetricsRegistry`:
+projects the window onto a :class:`~repro.obs.metrics.MetricsRegistry`:
 
 * **traffic counters** — ops by kind, hits per tier, misses, installs,
   evictions, write-backs, clean drops, flushes, and per-edge migrations,
+  folded from the bus's edge table at :meth:`MetricsHub.finalize`,
 * **per-op simulated latency** — each logical op's cost is bracketed by
   reading the shared :class:`~repro.hardware.simclock.CostAccumulator`
   total at consecutive ``OP_READ``/``OP_WRITE`` events; the delta lands
@@ -19,8 +20,10 @@ projects the event stream onto a :class:`~repro.obs.metrics.MetricsRegistry`:
   :class:`~repro.hardware.simclock.SimClock` to the boundary, so the
   clock tracks observable sim progress.
 
-The hub implements the bus's ``apply_event`` fast-path protocol, so the
-bus stays on its allocation-free emission path while a hub is attached;
+The hub subscribes only for what counts cannot give: the latency
+brackets, tenant series and epoch gauges.  It implements the bus's
+``apply_event`` fast-path protocol, so the bus stays on its
+allocation-free emission path while a hub is attached;
 :meth:`detach` restores the exact pre-attach subscriber set.  Under
 concurrent ``threading`` workers the histogram *counts* stay exact (one
 observation per op event, by construction); outcome attribution of an
@@ -29,7 +32,7 @@ individual latency sample may be approximate across interleaved ops.
 
 from __future__ import annotations
 
-from ..core.events import EventType
+from ..core.events import EventType, edge_delta
 from ..hardware.simclock import FP_SCALE
 from ..hardware.specs import Tier
 from ..np_compat import np
@@ -45,6 +48,26 @@ MISS_OUTCOME = "ssd_fetch"
 def outcome_label(tier: Tier) -> str:
     """The latency-histogram outcome label of a hit on ``tier``."""
     return f"{tier.name.lower()}_hit"
+
+
+#: Per-tier traffic series: event type -> (series name, label key).  The
+#: label names the edge slot that holds the tier (``src`` or ``tier``).
+_TIER_SERIES = {
+    EventType.HIT: ("tier_hits_total", "tier"),
+    EventType.INSTALL: ("tier_installs_total", "tier"),
+    EventType.EVICT: ("tier_evictions_total", "tier"),
+    EventType.WRITE_BACK: ("tier_write_backs_total", "src"),
+}
+
+#: Traffic series fed by every edge of one event type:
+#: event type -> (series name, labels).
+_PLAIN_SERIES = {
+    EventType.OP_READ: ("buffer_ops_total", {"kind": "read"}),
+    EventType.OP_WRITE: ("buffer_ops_total", {"kind": "write"}),
+    EventType.MISS: ("buffer_misses_total", None),
+    EventType.CLEAN_DROP: ("clean_drops_total", None),
+    EventType.FLUSH: ("dirty_page_flushes_total", None),
+}
 
 
 class MetricsHub:
@@ -89,6 +112,8 @@ class MetricsHub:
         self.epochs: list[dict] = []
         self._bm = None
         self._bus = None
+        #: Edge-table snapshot up to which traffic is already folded.
+        self._folded: dict = {}
         self._cost = None
         self._clock = None
         self._chain = None
@@ -104,18 +129,8 @@ class MetricsHub:
         self._finalized = False
         # Resolved-per-attach metric handles (no registry lookups on the
         # hot path).
-        self._reads: Counter | None = None
-        self._writes: Counter | None = None
-        self._miss_counter: Counter | None = None
         self._miss_hist: Histogram | None = None
-        self._hit_counters: dict[Tier, Counter] = {}
         self._hit_hists: dict[Tier, Histogram] = {}
-        self._evict_counters: dict[Tier, Counter] = {}
-        self._install_counters: dict[Tier, Counter] = {}
-        self._writeback_counters: dict[Tier, Counter] = {}
-        self._migrate_counters: dict[tuple, Counter] = {}
-        self._clean_drops: Counter | None = None
-        self._flushes: Counter | None = None
         self._occupancy_gauges: dict[Tier, object] = {}
         self._dirty_gauges: dict[Tier, object] = {}
 
@@ -131,31 +146,20 @@ class MetricsHub:
         self._cost = bm.hierarchy.cost
         self._clock = bm.hierarchy.clock
         self._chain = bm.chain
-        self._reads = registry.counter("buffer_ops_total", {"kind": "read"})
-        self._writes = registry.counter("buffer_ops_total", {"kind": "write"})
-        self._miss_counter = registry.counter("buffer_misses_total")
+        # Every traffic series exists from attach on, zero-valued until
+        # finalize folds the window in.
+        for name, labels in _PLAIN_SERIES.values():
+            registry.counter(name, labels)
         self._miss_hist = registry.histogram(
             "op_latency_ns", {"outcome": MISS_OUTCOME}
         )
-        self._clean_drops = registry.counter("clean_drops_total")
-        self._flushes = registry.counter("dirty_page_flushes_total")
         for node in bm.chain:
             tier = node.tier
             name = tier.name
-            self._hit_counters[tier] = registry.counter(
-                "tier_hits_total", {"tier": name}
-            )
+            for series, label in _TIER_SERIES.values():
+                registry.counter(series, {label: name})
             self._hit_hists[tier] = registry.histogram(
                 "op_latency_ns", {"outcome": outcome_label(tier)}
-            )
-            self._evict_counters[tier] = registry.counter(
-                "tier_evictions_total", {"tier": name}
-            )
-            self._install_counters[tier] = registry.counter(
-                "tier_installs_total", {"tier": name}
-            )
-            self._writeback_counters[tier] = registry.counter(
-                "tier_write_backs_total", {"src": name}
             )
             self._occupancy_gauges[tier] = registry.gauge(
                 "tier_occupancy_ratio", {"tier": name}
@@ -171,6 +175,7 @@ class MetricsHub:
             self.fault_source = getattr(bm.hierarchy, "fault_handle", None)
         self._next_epoch = self._cost.total_ns + self.epoch_ns
         self._bus = bm.events
+        self._folded = self._bus.snapshot()
         self._bus.subscribe(self)
         return self
 
@@ -183,7 +188,10 @@ class MetricsHub:
         self._bus = None
 
     def finalize(self) -> None:
-        """Flush the in-flight op and take a closing gauge sample."""
+        """Fold the window's traffic, flush the in-flight op, and take a
+        closing gauge sample."""
+        if self._bus is not None:
+            self._fold_traffic()
         if self._finalized or self._cost is None:
             return
         self._finalized = True
@@ -273,10 +281,6 @@ class MetricsHub:
         self._op_start = float(starts[-1])
         self._cur_hist = hit_hist
         self._finalized = False
-        self._reads.inc(count)
-        counter = self._hit_counters.get(summary.tier)
-        if counter is not None:
-            counter.inc(count)
         if float(starts[-1]) >= self._next_epoch:
             idx = int(np.searchsorted(starts, self._next_epoch, side="left"))
             while idx < count:
@@ -285,7 +289,7 @@ class MetricsHub:
                 idx = nxt if nxt > idx else idx + 1
 
     def apply_event(self, etype, page_id, tier, src, dirty) -> None:
-        """Fast-path projection; fields arrive positionally from the bus."""
+        """Fast-path latency bracketing; fields arrive positionally."""
         if etype is EventType.OP_READ or etype is EventType.OP_WRITE:
             now = self._cost.total_ns
             start = self._op_start
@@ -296,15 +300,10 @@ class MetricsHub:
             self._op_start = now
             self._cur_hist = None
             self._finalized = False
-            if etype is EventType.OP_READ:
-                self._reads.inc()
-                kind = "read"
-            else:
-                self._writes.inc()
-                kind = "write"
             if self.track_tenants:
                 if start is not None and self._tenant_cur_hist is not None:
                     self._tenant_cur_hist.observe(now - start)
+                kind = "read" if etype is EventType.OP_READ else "write"
                 hist, counter = self._tenant_handles(self._bus.tenant_id, kind)
                 self._tenant_cur_hist = hist
                 counter.inc()
@@ -312,39 +311,34 @@ class MetricsHub:
                 self._sample_epoch(now)
         elif etype is EventType.HIT:
             self._cur_hist = self._hit_hists.get(tier, self._miss_hist)
-            counter = self._hit_counters.get(tier)
-            if counter is not None:
-                counter.inc()
         elif etype is EventType.MISS:
             self._cur_hist = self._miss_hist
-            self._miss_counter.inc()
-        elif etype is EventType.INSTALL:
-            counter = self._install_counters.get(tier)
-            if counter is not None:
-                counter.inc()
-        elif etype is EventType.MIGRATE_UP or etype is EventType.MIGRATE_DOWN:
-            key = (etype, src, tier)
-            counter = self._migrate_counters.get(key)
-            if counter is None:
+
+    # ------------------------------------------------------------------
+    # Traffic counters
+    # ------------------------------------------------------------------
+    def _fold_traffic(self) -> None:
+        """Add the edge-table delta since the last fold to the counters
+        (per-tier series for chain tiers only, migrations per edge)."""
+        registry = self.registry
+        now = self._bus.snapshot()
+        delta = edge_delta(now, self._folded)
+        self._folded = now
+        chain_tiers = self._chain.tiers
+        for (etype, src, tier), count in delta.items():
+            if etype in _PLAIN_SERIES:
+                registry.counter(*_PLAIN_SERIES[etype]).inc(count)
+            elif etype in _TIER_SERIES:
+                series, label = _TIER_SERIES[etype]
+                labelled = src if label == "src" else tier
+                if labelled in chain_tiers:
+                    registry.counter(series, {label: labelled.name}).inc(count)
+            elif etype is EventType.MIGRATE_UP or etype is EventType.MIGRATE_DOWN:
                 direction = "up" if etype is EventType.MIGRATE_UP else "down"
                 edge = f"{src.name if src else '?'}->{tier.name if tier else '?'}"
-                counter = self.registry.counter(
+                registry.counter(
                     "migrations_total", {"direction": direction, "edge": edge}
-                )
-                self._migrate_counters[key] = counter
-            counter.inc()
-        elif etype is EventType.EVICT:
-            counter = self._evict_counters.get(tier)
-            if counter is not None:
-                counter.inc()
-        elif etype is EventType.WRITE_BACK:
-            counter = self._writeback_counters.get(src)
-            if counter is not None:
-                counter.inc()
-        elif etype is EventType.CLEAN_DROP:
-            self._clean_drops.inc()
-        elif etype is EventType.FLUSH:
-            self._flushes.inc()
+                ).inc(count)
 
     # ------------------------------------------------------------------
     # Tenant-labelled series
@@ -366,20 +360,6 @@ class MetricsHub:
                 "tenant_ops_total", labels
             )
         return hist, self._tenant_counters[key]
-
-    def tenant_latency_count(self) -> int:
-        """Total observations across tenant-labelled histograms.
-
-        Reconciles ±0 with :meth:`op_latency_count` after
-        :meth:`finalize` when tenant tracking is on: every global
-        bracket flush is mirrored by exactly one tenant flush.
-        """
-        total = 0
-        for series in self.registry.series():
-            if isinstance(series, Histogram) \
-                    and series.name == "tenant_op_latency_ns":
-                total += series.count
-        return total
 
     # ------------------------------------------------------------------
     # Epoch gauges

@@ -17,8 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..core.buffer_manager import BufferManager
-from ..core.events import BufferEvent, EventType
 from ..core.policy import MigrationPolicy
+from ..core.stats import BufferStats
 from .annealing import AnnealingSchedule, PolicyAnnealer
 
 
@@ -32,27 +32,6 @@ class EpochRecord:
     throughput: float
     accepted: bool
     temperature: float
-
-
-class _OpCounter:
-    """Bus observer that tallies operations for the controller.
-
-    Implements the bus's ``apply_event`` fast path so an attached
-    controller does not force event materialisation on every emission.
-    """
-
-    __slots__ = ("_controller",)
-
-    def __init__(self, controller: "AdaptiveController") -> None:
-        self._controller = controller
-
-    def __call__(self, event: BufferEvent) -> None:
-        self.apply_event(event.type, event.page_id, event.tier, event.src,
-                         event.dirty)
-
-    def apply_event(self, etype, page_id, tier, src, dirty) -> None:
-        if etype is EventType.OP_READ or etype is EventType.OP_WRITE:
-            self._controller._ops_seen += 1
 
 
 class AdaptiveController:
@@ -75,21 +54,9 @@ class AdaptiveController:
         self._epoch = 0
         self._candidate: MigrationPolicy | None = None
         self._baseline: dict | None = None
+        # Op totals come from the bus's monotonic edge table, so the
+        # measurement survives a mid-epoch ``reset_stats()``.
         self._ops_at_start = 0
-        # Count operations by subscribing to the buffer manager's event
-        # bus rather than polling its stats object, so the measurement
-        # survives a mid-epoch ``reset_stats()``.
-        self._ops_seen = 0
-        self._observer = _OpCounter(self)
-        buffer_manager.events.subscribe(self._observer)
-
-    def _observe_event(self, event: BufferEvent) -> None:
-        if event.type is EventType.OP_READ or event.type is EventType.OP_WRITE:
-            self._ops_seen += 1
-
-    def detach(self) -> None:
-        """Stop observing the buffer manager's event bus."""
-        self.bm.events.unsubscribe(self._observer)
 
     # ------------------------------------------------------------------
     def begin_epoch(self) -> MigrationPolicy:
@@ -105,14 +72,17 @@ class AdaptiveController:
         self._candidate = candidate
         self.bm.set_policy(candidate)
         self._baseline = self.bm.hierarchy.cost.snapshot()
-        self._ops_at_start = self._ops_seen
+        self._ops_at_start = self._operations()
         return candidate
+
+    def _operations(self) -> int:
+        return BufferStats.from_edges(self.bm.events.snapshot()).operations
 
     def end_epoch(self) -> EpochRecord:
         """Measure the epoch and feed the result to the annealer."""
         if self._candidate is None or self._baseline is None:
             raise RuntimeError("begin_epoch was not called")
-        operations = self._ops_seen - self._ops_at_start
+        operations = self._operations() - self._ops_at_start
         delta = self.bm.hierarchy.cost.delta_since(self._baseline)
         throughput = delta.throughput(operations, self.workers)
         accepted = self.annealer.observe(self._candidate, throughput)

@@ -127,8 +127,7 @@ class TestRunEquivalence:
     def test_eager_policy_and_event_trace(self):
         """A migration-heavy policy exercises the slow-path fallback."""
         cell = Cell.ycsb("batch-eq/eager", SHAPE, SPITFIRE_EAGER, "YCSB-BA",
-                         10.0, effort=TINY, extra_worker_counts=(),
-                         trace_events=True)
+                         10.0, effort=TINY, extra_worker_counts=())
         baseline = _fingerprint(run_cell(cell))
         with batch_execution(64):
             batched = _fingerprint(run_cell(cell))

@@ -97,8 +97,7 @@ class TestHarnessMetrics:
             assert {"busy_ns", "operations", "bytes_moved"} <= set(usage)
 
     def test_observers_detached_after_run(self):
-        runner = make_runner(collect_metrics=True, trace_events=True,
-                             trace_page_fraction=1.0)
+        runner = make_runner(collect_metrics=True, trace_page_fraction=1.0)
         bus = runner.bm.events
         baseline = bus.num_subscribers
         runner.measure_ycsb(small_workload())
@@ -107,8 +106,7 @@ class TestHarnessMetrics:
 
     def test_observers_detached_when_workload_raises(self):
         """Regression: _measure must not leak subscriptions on error."""
-        runner = make_runner(collect_metrics=True, trace_events=True,
-                             trace_page_fraction=1.0)
+        runner = make_runner(collect_metrics=True, trace_page_fraction=1.0)
         runner.config.warmup_ops = 5
         bus = runner.bm.events
         baseline = bus.num_subscribers
@@ -126,7 +124,7 @@ class TestHarnessMetrics:
         assert bus.fast_path_active
 
     def test_repeated_measurements_do_not_stack_subscribers(self):
-        runner = make_runner(collect_metrics=True, trace_events=True)
+        runner = make_runner(collect_metrics=True)
         bus = runner.bm.events
         baseline = bus.num_subscribers
         workload = small_workload()

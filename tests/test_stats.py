@@ -75,26 +75,6 @@ class TestBufferStats:
         assert stats.upward_migrations == 6
         assert stats.downward_migrations == 15
 
-    def test_record(self):
-        stats = BufferStats()
-        stats.record("reads")
-        stats.record("reads", 2)
-        assert stats.reads == 3
-
-    def test_snapshot_is_copy(self):
-        stats = BufferStats(reads=1)
-        snap = stats.snapshot()
-        stats.reads = 10
-        assert snap.reads == 1
-
-    def test_delta_since(self):
-        stats = BufferStats(reads=10, writes=4)
-        baseline = stats.snapshot()
-        stats.reads = 15
-        delta = stats.delta_since(baseline)
-        assert delta.reads == 5
-        assert delta.writes == 0
-
     def test_as_dict(self):
         d = BufferStats(reads=2).as_dict()
         assert d["reads"] == 2

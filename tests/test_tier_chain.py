@@ -12,10 +12,16 @@ from __future__ import annotations
 
 from conftest import make_bm
 
-from repro.bench.event_trace import EventTraceRecorder
 from repro.bench.harness import RunConfig, WorkloadRunner
 from repro.core.buffer_manager import BufferManager
-from repro.core.events import BufferEvent, EventBus, EventType
+from repro.core.events import (
+    BufferEvent,
+    EventBus,
+    EventType,
+    OpBatchSummary,
+    edge_delta,
+    edge_report,
+)
 from repro.core.policy import DRAM_SSD_POLICY, SPITFIRE_EAGER, SPITFIRE_LAZY
 from repro.core.tier_chain import TierChain
 from repro.hardware.cost_model import StorageHierarchy
@@ -117,13 +123,51 @@ class TestResetStatsDevices:
         eager_bm.read(page)
         eager_bm.reset_stats()
         eager_bm.read(page)
-        # The projector survives the reset: the post-reset hit lands in
-        # the *new* BufferStats object.
+        # The reset only moves the stats baseline: the post-reset hit
+        # counts from there.
         assert eager_bm.stats.dram_hits == 1
         assert eager_bm.stats.reads == 1
 
 
 class TestEventBus:
+    def test_new_manager_has_no_subscribers(self, eager_bm):
+        bus = eager_bm.events
+        assert bus.num_subscribers == 0
+        assert bus.fast_path_active and bus.batch_path_active
+        page = eager_bm.allocate_page()
+        eager_bm.read(page)
+        assert eager_bm.stats.reads == 1
+
+    def test_publish_counts_edges(self):
+        bus = EventBus()
+        bus.publish(EventType.HIT, 1, tier=Tier.DRAM)
+        start = bus.snapshot()
+        bus.publish(EventType.HIT, 2, tier=Tier.DRAM)
+        bus.publish(EventType.MIGRATE_UP, 2, tier=Tier.DRAM, src=Tier.NVM)
+        bus.publish(EventType.OP_WRITE, 2)
+        assert bus.counts[EventType.HIT, None, Tier.DRAM] == 2
+        window = edge_delta(bus.snapshot(), start)
+        assert window == {
+            (EventType.HIT, None, Tier.DRAM): 1,
+            (EventType.MIGRATE_UP, Tier.NVM, Tier.DRAM): 1,
+            (EventType.OP_WRITE, None, None): 1,
+        }
+        assert edge_report(window) == {
+            "hit@DRAM": 1, "migrate_up:NVM->DRAM": 1, "op_write": 1,
+        }
+
+    def test_batch_summary_counts_like_per_op_events(self):
+        batched, per_op = EventBus(), EventBus()
+        batched.publish_op_batch(OpBatchSummary(
+            count=5, tier=Tier.NVM, direct=True, page_ids=range(5),
+            base_fp=0, latency_fp=None,
+        ))
+        for page in range(5):
+            per_op.publish(EventType.OP_READ, page)
+            per_op.publish(EventType.HIT, page, tier=Tier.NVM)
+            per_op.publish(EventType.DIRECT_READ, page, tier=Tier.NVM)
+        assert batched.snapshot() == per_op.snapshot()
+
     def test_miss_emits_miss_and_install(self, eager_bm):
         seen: list[BufferEvent] = []
         eager_bm.events.subscribe(seen.append)
@@ -220,16 +264,19 @@ class TestEventBus:
         assert not errors
 
     def test_trace_matches_stats(self, eager_bm):
-        trace = EventTraceRecorder().attach(eager_bm)
+        start = eager_bm.events.snapshot()
         for page in range(4):
             eager_bm.allocate_page(page)
             eager_bm.read(page)
             eager_bm.read(page)
-        trace.detach()
+        window = edge_delta(eager_bm.events.snapshot(), start)
         stats = eager_bm.stats
-        assert trace.total(EventType.MISS) == stats.ssd_fetches
-        assert trace.total(EventType.HIT) == stats.dram_hits + stats.nvm_hits
-        report = trace.report()
+        by_type: dict[EventType, int] = {}
+        for (etype, _src, _tier), count in window.items():
+            by_type[etype] = by_type.get(etype, 0) + count
+        assert by_type[EventType.MISS] == stats.ssd_fetches
+        assert by_type[EventType.HIT] == stats.dram_hits + stats.nvm_hits
+        report = edge_report(window)
         assert report["hit@DRAM"] == stats.dram_hits
 
 
@@ -262,23 +309,24 @@ class TestFourTier:
         descriptor = dram.pool.get(page)
         dram.pool.remove(descriptor)
         bm.table.get(page).detach(Tier.DRAM)
-        before = dict(bm._stats_projector.hits_by_tier)
+        before = bm.events.snapshot()
         result = bm.read(page)
         assert result.hit
-        assert bm._stats_projector.hits_by_tier.get(Tier.CXL, 0) \
-            == before.get(Tier.CXL, 0) + 1
+        window = edge_delta(bm.events.snapshot(), before)
+        assert window[EventType.HIT, None, Tier.CXL] == 1
+        assert edge_report(window)["hit@CXL"] == 1
 
     def test_ycsb_end_to_end(self):
         bm = make_four_tier_bm()
         runner = WorkloadRunner(bm, RunConfig(
-            warmup_ops=300, measure_ops=600, trace_events=True,
+            warmup_ops=300, measure_ops=600,
         ))
         workload = YcsbWorkload(2_000, mix=YCSB_BA, seed=7)
         result = runner.measure_ycsb(workload, label="4-tier YCSB-BA")
         assert result.operations == 600
         assert result.throughput > 0
         assert result.stats.reads + result.stats.writes == 600
-        assert result.event_trace, "trace_events should produce a trace"
+        assert result.event_trace, "every run reports its edge counts"
         # The chain actually moved data during the run.
         assert any(key.startswith(("install", "hit", "migrate"))
                    for key in result.event_trace)

@@ -147,6 +147,18 @@ class TestController:
         assert record.operations == 200
         assert record.throughput > 0
 
+    def test_epoch_survives_mid_epoch_stats_reset(self):
+        controller, runner, workload = self.make_controller()
+        assert controller.bm.events.num_subscribers == 0
+        controller.begin_epoch()
+        for _ in range(120):
+            runner.run_ycsb_op(workload)
+        controller.bm.reset_stats()
+        for _ in range(80):
+            runner.run_ycsb_op(workload)
+        assert controller.end_epoch().operations == 200
+        assert controller.bm.stats.operations == 80
+
     def test_first_epoch_measures_initial_policy(self):
         controller, runner, workload = self.make_controller()
         policy = controller.begin_epoch()
