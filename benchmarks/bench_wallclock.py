@@ -44,22 +44,25 @@ The measurements, written to ``BENCH_repro.json`` next to this script
   committed baseline like the inner loops.
 
 * **tenancy overhead** — the same cell with metrics attached, untagged
-  and then tenant-tagged (``Cell.track_tenants``: the buffer manager is
-  built with ``TenancyConfig.single()`` and every op flows through the
-  per-tenant admission/metrics machinery as tenant 0), interleaved,
-  best of ``--repeats`` passes per leg.  Both legs collect metrics so
-  the delta isolates the tenancy plumbing itself; the guard asserts the
-  tagged run stays within ``--tenancy-overhead-budget`` (default 3%)
-  of the untagged baseline.
+  and then tenant-tagged (``exec_scope(tenant_tagging=True)``: the
+  buffer manager is built with ``TenancyConfig.single()`` and every op
+  flows through the per-tenant admission/metrics machinery as tenant
+  0), interleaved pairs.  Both legs collect metrics so the delta
+  isolates the tenancy plumbing itself; the guard reads the *minimum*
+  tagged/untagged ratio over the pairs against
+  ``--tenancy-overhead-budget`` (default 3%).
 
 * **telemetry overhead** — the same cell bare and then with the full
   live telemetry plane attached: a streaming
   :class:`~repro.bench.telemetry.TelemetryChannel` (progress events
   draining into a background aggregator) plus sampled decision tracing
-  (``decision_tracing(0.05)``).  Interleaved pairs, and the guard reads
-  the *minimum* attached/detached ratio over the pairs — the same
-  estimator as the tenancy guard — against
+  (``exec_scope(decision_fraction=0.05)``).  Interleaved pairs, and the
+  guard reads the *minimum* attached/detached ratio over the pairs —
+  the same estimator as the tenancy guard — against
   ``--telemetry-overhead-budget`` (default 5%).
+
+All three overhead guards time their legs through one helper,
+:func:`attachment_overhead`.
 
 Every run also appends one summary line (git sha, cpu budget, ops/s,
 speedups, overhead fractions, pass/fail) to the append-only
@@ -93,13 +96,13 @@ import json
 import os
 import platform
 import time
-from dataclasses import replace
 from pathlib import Path
 
 from repro.bench.executor import (
     QUICK,
     Cell,
     Effort,
+    exec_scope,
     pool_info,
     run_cell,
     run_cells,
@@ -173,6 +176,36 @@ def time_cell_serial() -> dict:
     }
 
 
+def attachment_overhead(attached_scope: dict,
+                        repeats: int) -> tuple[list[tuple[float, float]],
+                                               object]:
+    """Time ``run_cell(bench_cell())`` bare and inside a scope.
+
+    ``attached_scope`` holds the :func:`exec_scope` keywords of the
+    attached leg.  The two legs run in interleaved pairs, ``repeats``
+    times, so back-to-back pairs cancel machine drift.  Returns the
+    ``(bare, attached)`` wall seconds of every pair and the last
+    attached result, for the caller's structural checks.  The tenancy
+    and telemetry guards read the *minimum* attached/bare ratio over
+    the pairs: a real overhead shows up in every pair, so the minimum
+    is robust against bursty noise on shared runners while still
+    catching genuine hot-path regressions.
+    """
+    cell = bench_cell()
+    pairs = []
+    attached_res = None
+    for _ in range(max(1, repeats)):
+        t0 = time.perf_counter()
+        run_cell(cell)
+        bare = time.perf_counter() - t0
+        with exec_scope(**attached_scope):
+            t0 = time.perf_counter()
+            attached_res = run_cell(cell)
+            attached = time.perf_counter() - t0
+        pairs.append((bare, attached))
+    return pairs, attached_res
+
+
 def time_cell_metrics(overhead_budget: float,
                       metrics_out: str | None,
                       repeats: int = 3) -> tuple[dict, list[str]]:
@@ -206,21 +239,9 @@ def time_cell_metrics(overhead_budget: float,
     if bm.events.fast_path_active != baseline_fast:
         violations.append("detach did not restore the bus fast path")
 
-    # Wall-clock overhead: same fixed-seed cell, metrics off then on,
-    # interleaved pairs, best-of-``repeats`` per leg.
-    detached_cell = bench_cell()
-    attached_cell = replace(detached_cell, collect_metrics=True)
-    detached = attached = None
-    attached_res = None
-    for _ in range(max(1, repeats)):
-        t0 = time.perf_counter()
-        run_cell(detached_cell)
-        elapsed = time.perf_counter() - t0
-        detached = elapsed if detached is None or elapsed < detached else detached
-        t0 = time.perf_counter()
-        attached_res = run_cell(attached_cell)
-        elapsed = time.perf_counter() - t0
-        attached = elapsed if attached is None or elapsed < attached else attached
+    pairs, attached_res = attachment_overhead({"collect_metrics": True},
+                                              repeats)
+    detached, attached = map(min, zip(*pairs))
     overhead = attached / detached - 1.0
     if overhead > overhead_budget:
         violations.append(
@@ -235,7 +256,7 @@ def time_cell_metrics(overhead_budget: float,
         write_prometheus(out / "metrics.prom", registry)
         write_jsonl(out / "metrics.jsonl",
                     snapshot_jsonl_lines(attached_res.metrics,
-                                         attached_cell.label))
+                                         bench_cell().label))
 
     return {
         "detached_wall_seconds": round(detached, 3),
@@ -249,36 +270,19 @@ def time_cell_metrics(overhead_budget: float,
 
 def time_cell_tenancy(overhead_budget: float,
                       repeats: int = 3) -> tuple[dict, list[str]]:
-    """Untagged-vs-tenant-tagged cell timing.
+    """Untagged-vs-tenant-tagged cell timing (pairwise minimum).
 
     Both legs attach a MetricsHub (tagging implies one), so the measured
     delta is the tenancy machinery alone: the ``TenancyConfig.single()``
     wiring, the bus tenant register, and the per-tenant histogram
-    bracketing in the hub.  The guard reads the *minimum* tagged/untagged
-    ratio over the interleaved pairs: back-to-back pairs cancel machine
-    drift, and a real overhead shows up in every pair, so the minimum is
-    robust against bursty noise on shared runners while still catching
-    genuine hot-path regressions.
+    bracketing in the hub.
     """
     violations: list[str] = []
-    untagged_cell = replace(bench_cell(), collect_metrics=True)
-    tagged_cell = replace(untagged_cell, track_tenants=True)
-    untagged = tagged = None
-    tagged_res = None
-    ratios = []
-    for _ in range(max(1, repeats)):
-        t0 = time.perf_counter()
-        run_cell(untagged_cell)
-        untagged_elapsed = time.perf_counter() - t0
-        if untagged is None or untagged_elapsed < untagged:
-            untagged = untagged_elapsed
-        t0 = time.perf_counter()
-        tagged_res = run_cell(tagged_cell)
-        tagged_elapsed = time.perf_counter() - t0
-        if tagged is None or tagged_elapsed < tagged:
-            tagged = tagged_elapsed
-        ratios.append(tagged_elapsed / untagged_elapsed)
-    overhead = min(ratios) - 1.0
+    with exec_scope(collect_metrics=True):
+        pairs, tagged_res = attachment_overhead({"tenant_tagging": True},
+                                                repeats)
+    untagged, tagged = map(min, zip(*pairs))
+    overhead = min(a / b for b, a in pairs) - 1.0
     if overhead > overhead_budget:
         violations.append(
             f"tenant-tagging overhead {overhead:+.1%} exceeds the "
@@ -303,45 +307,29 @@ def time_cell_telemetry(overhead_budget: float,
                         repeats: int = 3) -> tuple[dict, list[str]]:
     """Bare-vs-telemetry-attached cell timing (pairwise minimum).
 
-    The attached leg runs the same fixed-seed cell inside a live
-    telemetry scope — a real manager-queue channel with a draining
+    The attached leg runs the same fixed-seed cell with a live
+    telemetry channel — a real manager-queue channel with a draining
     aggregator — plus decision tracing at a realistic 5% sample.  The
     guard reads the minimum attached/bare ratio over interleaved pairs
-    (see :func:`time_cell_tenancy` for why the minimum) against
-    ``overhead_budget``, and asserts structurally that tracing was
-    actually live (the attached result carries a decision trace) and
-    that progress events actually flowed through the channel.
+    against ``overhead_budget``, and asserts structurally that tracing
+    was actually live (the attached result carries a decision trace)
+    and that progress events actually flowed through the channel.
     """
     import io
 
-    from repro.bench.executor import decision_tracing, telemetry_channel
     from repro.bench.telemetry import ProgressAggregator, open_channel
 
     violations: list[str] = []
-    cell = bench_cell()
     channel = open_channel()
     aggregator = ProgressAggregator(channel, stream=io.StringIO()).start()
-    bare = attached = None
-    attached_res = None
-    ratios = []
     try:
-        for _ in range(max(1, repeats)):
-            t0 = time.perf_counter()
-            run_cell(cell)
-            bare_elapsed = time.perf_counter() - t0
-            if bare is None or bare_elapsed < bare:
-                bare = bare_elapsed
-            with telemetry_channel(channel), decision_tracing(0.05):
-                t0 = time.perf_counter()
-                attached_res = run_cell(cell)
-                attached_elapsed = time.perf_counter() - t0
-            if attached is None or attached_elapsed < attached:
-                attached = attached_elapsed
-            ratios.append(attached_elapsed / bare_elapsed)
+        pairs, attached_res = attachment_overhead(
+            {"telemetry": channel, "decision_fraction": 0.05}, repeats)
     finally:
         aggregator.stop(final_line=False)
         channel.close()
-    overhead = min(ratios) - 1.0
+    bare, attached = map(min, zip(*pairs))
+    overhead = min(a / b for b, a in pairs) - 1.0
     if overhead > overhead_budget:
         violations.append(
             f"telemetry overhead {overhead:+.1%} exceeds the "

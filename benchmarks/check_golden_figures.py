@@ -23,14 +23,14 @@ wrappers perturb neither the cost model nor the measured figures.
 
 ``--with-batching`` regenerates with every cell driven through the
 columnar batch path at batch size 1024
-(:func:`~repro.bench.executor.batch_execution`).  Byte-identity here is
+(``exec_scope(batch_size=1024)``).  Byte-identity here is
 the batch path's core contract: batched execution changes wall-clock
 time and nothing else.  The flags compose — ``--with-batching
 --with-metrics --with-faults-disabled`` proves the contract holds with
 observers attached and fault wrappers installed.
 
 ``--with-tenancy`` regenerates with tenant tagging enabled in every
-cell (:func:`~repro.bench.executor.tenant_tagging`): each buffer
+cell (``exec_scope(tenant_tagging=True)``): each buffer
 manager is built with ``TenancyConfig.single()``, every op runs
 tagged as tenant 0 through the per-tenant admission and metrics
 machinery, and the result carries a per-tenant breakdown.  Byte-
@@ -40,7 +40,7 @@ plumbing at the default tenant is free.
 ``--with-telemetry`` regenerates with the **entire live telemetry
 plane** attached: a streaming worker-progress channel (manager-queue
 backed, drained by a background aggregator), decision tracing in every
-cell (``decision_tracing(0.05)``), and a live Prometheus scrape
+cell (``exec_scope(decision_fraction=0.05)``), and a live Prometheus scrape
 endpoint (:class:`~repro.obs.server.MetricsServer`) hit by a
 background scraper thread *while the figures regenerate* — which is
 why this flag implies ``--with-metrics``.  Byte-identity here is the
@@ -53,9 +53,14 @@ actually succeeded, so it cannot pass vacuously.
 ordering for context propagation: the workers are forked first, so
 none of the scopes can reach them by inheritance — only the explicit
 per-submission :class:`~repro.bench.executor.ExecContext` can carry
-them.  Byte-identity under ``--prewarm-pool --jobs 4`` with all three
-scopes composed is the proof that the persistent pool does not leak or
+them.  Byte-identity under ``--prewarm-pool --jobs 4`` with every
+scope composed is the proof that the persistent pool does not leak or
 drop execution context.
+
+Each ``--with-*`` flag is one row of :data:`LEGS`: the
+:class:`~repro.bench.executor.ExecContext` fields it sets and the text
+it adds to the report line.  The chosen rows compose into one
+:func:`~repro.bench.executor.exec_scope`.
 
 Usage::
 
@@ -77,10 +82,12 @@ import contextlib
 import sys
 import tempfile
 import time
+from dataclasses import dataclass
 from pathlib import Path
 
-from repro.bench.executor import metrics_collection
+from repro.bench.executor import exec_scope, metrics_collection
 from repro.bench.experiments import REGISTRY
+from repro.faults.plan import FaultPlan
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
@@ -95,46 +102,71 @@ DEFAULT_EXPERIMENTS = ("fig6", "fig7")
 BATCHING_BATCH_SIZE = 1024
 
 
-def check(experiment_id: str, jobs: int, with_metrics: bool = False,
-          with_faults_disabled: bool = False,
-          with_batching: bool = False,
-          with_tenancy: bool = False,
-          with_telemetry: bool = False) -> bool:
+@dataclass(frozen=True)
+class Leg:
+    """One ``--with-*`` flag: the run settings it proves byte-neutral."""
+
+    #: :func:`~repro.bench.executor.exec_scope` keywords.
+    overrides: dict
+    #: Report-line text; ``{cells}`` and ``{scrapes}`` are filled in.
+    report: str
+    help: str
+
+
+#: Flag suffix (``--with-<name>``, underscores as dashes) -> leg, in
+#: report order.  ``telemetry`` also attaches the live channel and the
+#: scrape endpoint (:func:`_attach_telemetry_plane`); that endpoint
+#: serves the metrics sink, so the leg implies ``metrics``.
+LEGS = {
+    "metrics": Leg(
+        {"collect_metrics": True}, "metrics attached to {cells} cells",
+        "attach a MetricsHub to every cell while regenerating; the JSON "
+        "must stay byte-identical"),
+    "faults_disabled": Leg(
+        {"fault_plan": FaultPlan.none()}, "no-op fault wrappers installed",
+        "install a no-op FaultPlan (pure-delegation device wrappers) in "
+        "every cell; the JSON must stay byte-identical"),
+    "batching": Leg(
+        {"batch_size": BATCHING_BATCH_SIZE},
+        f"batched at {BATCHING_BATCH_SIZE}",
+        "drive every cell through the columnar batch path at batch size "
+        f"{BATCHING_BATCH_SIZE}; the JSON must stay byte-identical"),
+    "tenancy": Leg(
+        {"tenant_tagging": True}, "tenant tagging on",
+        "enable tenant tagging (single-tenant TenancyConfig, every op "
+        "tagged tenant 0) in every cell; the JSON must stay byte-identical"),
+    "telemetry": Leg(
+        {"decision_fraction": 0.05},
+        "live telemetry on, {scrapes} mid-run scrape(s)",
+        "attach the live telemetry plane (streaming progress channel, "
+        "decision tracing, HTTP scrape endpoint polled mid-run; implies "
+        "--with-metrics); the JSON must stay byte-identical and >= 1 "
+        "scrape must succeed"),
+}
+
+
+def check(experiment_id: str, jobs: int, legs=()) -> bool:
+    """Regenerate one experiment under ``legs`` (LEGS keys) and compare."""
     golden = RESULTS_DIR / f"{experiment_id}.json"
     if not golden.exists():
         print(f"FAIL {experiment_id}: no archived result at {golden}")
         return False
     started = time.time()
-    # The live scrape endpoint serves the merged metrics sink, so the
-    # telemetry leg needs per-cell collection on.
-    with_metrics = with_metrics or with_telemetry
-    scope = metrics_collection() if with_metrics else contextlib.nullcontext([])
-    fault_scope = contextlib.nullcontext()
-    if with_faults_disabled:
-        from repro.bench.executor import fault_plan_injection
-        from repro.faults.plan import FaultPlan
-
-        fault_scope = fault_plan_injection(FaultPlan.none())
-    batch_scope = contextlib.nullcontext()
-    if with_batching:
-        from repro.bench.executor import batch_execution
-
-        batch_scope = batch_execution(BATCHING_BATCH_SIZE)
-    tenancy_scope = contextlib.nullcontext()
-    if with_tenancy:
-        from repro.bench.executor import tenant_tagging
-
-        tenancy_scope = tenant_tagging()
+    legs = set(legs)
+    if "telemetry" in legs:
+        legs.add("metrics")
+    overrides: dict = {}
+    for name in legs:
+        overrides.update(LEGS[name].overrides)
     scrapes = {"ok": 0, "fail": 0}
     with contextlib.ExitStack() as stack:
-        sink = stack.enter_context(scope)
-        stack.enter_context(fault_scope)
-        stack.enter_context(batch_scope)
-        stack.enter_context(tenancy_scope)
-        if with_telemetry:
+        sink = (stack.enter_context(metrics_collection())
+                if "metrics" in legs else [])
+        stack.enter_context(exec_scope(**overrides))
+        if "telemetry" in legs:
             _attach_telemetry_plane(stack, sink, scrapes)
         result = REGISTRY[experiment_id](quick=True, jobs=jobs)
-    if with_telemetry and scrapes["ok"] == 0:
+    if "telemetry" in legs and scrapes["ok"] == 0:
         print(f"FAIL {experiment_id}: live metrics endpoint was never "
               f"scraped successfully ({scrapes['fail']} failed attempts) "
               f"— the telemetry leg would pass vacuously")
@@ -144,16 +176,10 @@ def check(experiment_id: str, jobs: int, with_metrics: bool = False,
         fresh_bytes = fresh.read_bytes()
     golden_bytes = golden.read_bytes()
     elapsed = time.time() - started
-    mode = f", metrics attached to {len(sink)} cells" if with_metrics else ""
-    if with_faults_disabled:
-        mode += ", no-op fault wrappers installed"
-    if with_batching:
-        mode += f", batched at {BATCHING_BATCH_SIZE}"
-    if with_tenancy:
-        mode += ", tenant tagging on"
-    if with_telemetry:
-        mode += (f", live telemetry on, {scrapes['ok']} mid-run "
-                 f"scrape(s)")
+    mode = "".join(
+        ", " + LEGS[name].report.format(cells=len(sink),
+                                        scrapes=scrapes["ok"])
+        for name in LEGS if name in legs)
     if fresh_bytes == golden_bytes:
         print(f"OK   {experiment_id}: byte-identical to {golden} "
               f"({len(golden_bytes)} bytes, {elapsed:.1f}s{mode})")
@@ -166,17 +192,16 @@ def check(experiment_id: str, jobs: int, with_metrics: bool = False,
 
 def _attach_telemetry_plane(stack: contextlib.ExitStack, sink: list,
                             scrapes: dict) -> None:
-    """Attach every telemetry observer the gate must prove harmless.
+    """Attach the live telemetry observers the gate must prove harmless.
 
-    Streaming progress channel (drained by a silent aggregator),
-    decision tracing in every cell, and a live Prometheus endpoint
-    polled by a background scraper thread for the duration of the
-    regeneration.  Everything tears down via ``stack``.
+    Streaming progress channel (drained by a silent aggregator) and a
+    live Prometheus endpoint polled by a background scraper thread for
+    the duration of the regeneration; decision tracing comes from the
+    leg's overrides.  Everything tears down via ``stack``.
     """
     import io
     import threading
 
-    from repro.bench.executor import decision_tracing, telemetry_channel
     from repro.bench.telemetry import ProgressAggregator, open_channel
     from repro.obs.export import merge_snapshots, prometheus_text
     from repro.obs.server import MetricsServer
@@ -185,8 +210,7 @@ def _attach_telemetry_plane(stack: contextlib.ExitStack, sink: list,
     aggregator = ProgressAggregator(channel, stream=io.StringIO()).start()
     stack.callback(channel.close)
     stack.callback(aggregator.stop, False)
-    stack.enter_context(telemetry_channel(channel))
-    stack.enter_context(decision_tracing(0.05))
+    stack.enter_context(exec_scope(telemetry=channel))
 
     def provider() -> str:
         return prometheus_text(
@@ -240,27 +264,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--jobs", "-j", type=int, default=1, metavar="N",
                         help="worker processes per experiment (results are "
                              "identical at any job count)")
-    parser.add_argument("--with-metrics", action="store_true",
-                        help="attach a MetricsHub to every cell while "
-                             "regenerating; the JSON must stay byte-identical")
-    parser.add_argument("--with-faults-disabled", action="store_true",
-                        help="install a no-op FaultPlan (pure-delegation "
-                             "device wrappers) in every cell; the JSON must "
-                             "stay byte-identical")
-    parser.add_argument("--with-batching", action="store_true",
-                        help="drive every cell through the columnar batch "
-                             f"path at batch size {BATCHING_BATCH_SIZE}; the "
-                             "JSON must stay byte-identical")
-    parser.add_argument("--with-tenancy", action="store_true",
-                        help="enable tenant tagging (single-tenant "
-                             "TenancyConfig, every op tagged tenant 0) in "
-                             "every cell; the JSON must stay byte-identical")
-    parser.add_argument("--with-telemetry", action="store_true",
-                        help="attach the live telemetry plane (streaming "
-                             "progress channel, decision tracing, HTTP "
-                             "scrape endpoint polled mid-run; implies "
-                             "--with-metrics); the JSON must stay "
-                             "byte-identical and >= 1 scrape must succeed")
+    for name, leg in LEGS.items():
+        parser.add_argument(f"--with-{name.replace('_', '-')}",
+                            action="store_true", help=leg.help)
     parser.add_argument("--prewarm-pool", action="store_true",
                         help="fork and warm the persistent worker pool "
                              "BEFORE entering any --with-* scope, so context "
@@ -278,14 +284,9 @@ def main(argv: list[str] | None = None) -> int:
         warmed = warm_pool(args.jobs)
         info = pool_info()
         print(f"prewarmed pool: {info} (warmed={warmed})")
-    failures = [
-        e for e in args.experiments
-        if not check(e, args.jobs, with_metrics=args.with_metrics,
-                     with_faults_disabled=args.with_faults_disabled,
-                     with_batching=args.with_batching,
-                     with_tenancy=args.with_tenancy,
-                     with_telemetry=args.with_telemetry)
-    ]
+    legs = [name for name in LEGS if getattr(args, f"with_{name}")]
+    failures = [e for e in args.experiments
+                if not check(e, args.jobs, legs)]
     return 1 if failures else 0
 
 

@@ -1,8 +1,10 @@
 """Benchmark harness and per-figure experiment reproductions."""
 
 from .executor import (
+    ExecContext,
     RunSession,
-    metrics_collected,
+    current_context,
+    exec_scope,
     metrics_collection,
     run_session,
     shutdown_pool,
@@ -12,13 +14,15 @@ from .harness import RunConfig, RunResult, WorkloadRunner
 from .reporting import ExperimentResult, Series
 
 __all__ = [
+    "ExecContext",
     "ExperimentResult",
     "RunConfig",
     "RunResult",
     "RunSession",
     "Series",
     "WorkloadRunner",
-    "metrics_collected",
+    "current_context",
+    "exec_scope",
     "metrics_collection",
     "run_session",
     "shutdown_pool",

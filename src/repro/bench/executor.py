@@ -20,12 +20,12 @@ Design rules:
 * work is submitted as **contiguous chunks** sized from each cell's
   :class:`Effort` (longest-expected-first), which amortises pickling
   and IPC over many small tasks while keeping load balanced;
-* execution scopes (:func:`metrics_collection`, :func:`batch_execution`,
-  :func:`fault_plan_injection`, :func:`tenant_tagging`) travel as an
-  explicit per-submission
-  :class:`ExecContext` value captured at submit time and installed
-  around the work inside the worker — a persistent pool outlives any
-  scope, so nothing may rely on workers inheriting parent state;
+* a cell's run settings (metrics, batch size, fault plan, tenant
+  tagging, telemetry, decision tracing) live in one frozen
+  :class:`ExecContext`, set for a block with :func:`exec_scope` and
+  captured at submit time; the worker installs it around the work —
+  a persistent pool outlives any scope, so nothing may rely on
+  workers inheriting parent state;
 * a failing cell raises :class:`CellExecutionError` naming the cell's
   full spec, and never hangs the pool (remaining chunks are cancelled);
 * when worker processes cannot be spawned at all (restricted sandboxes,
@@ -113,10 +113,10 @@ class Cell:
     """One grid point: everything needed to reproduce one measurement.
 
     All fields are plain values or frozen dataclasses, so cells pickle
-    cleanly into worker processes.  The defaults mirror the historical
-    ``common.build_bm`` + ``common.run_ycsb``/``run_tpcc`` call chain
-    exactly — that equivalence is what keeps parallel figure output
-    byte-identical to serial output.
+    cleanly into worker processes.  A cell says *what* is measured; how
+    it runs (metrics, batching, faults, tenant tagging, telemetry,
+    decision tracing) comes from the ambient :class:`ExecContext`, so
+    the same cell gives the same figure point under any scope.
     """
 
     label: str
@@ -132,14 +132,6 @@ class Cell:
     workers: int = 1
     extra_worker_counts: tuple[int, ...] = (16,)
     with_wal: bool = True
-    #: Attach a MetricsHub over this cell's measurement window.  Also
-    #: forced on for every cell while :func:`metrics_collection` is
-    #: active (the CLI's ``--metrics-out`` path).
-    collect_metrics: bool = False
-    #: Operations per batch through the columnar batch path (1 = the
-    #: legacy per-op loop).  Overridden for every cell while
-    #: :func:`batch_execution` is active.
-    batch_size: int = 1
     #: Tenant population for a multi-tenant cell.  Non-empty routes the
     #: cell through :meth:`WorkloadRunner.measure_tenants` over an
     #: interleaved :class:`~repro.workloads.tenancy.MultiTenantWorkload`
@@ -151,13 +143,6 @@ class Cell:
     quota_mode: str = "none"
     #: Per-tenant buffer-share fractions (empty = equal shares).
     shares: tuple[float, ...] = ()
-    #: Project tenant-labelled metrics and attach a per-tenant breakdown
-    #: to the result.  Also forced on for every cell while
-    #: :func:`tenant_tagging` is active.
-    track_tenants: bool = False
-    #: Page fraction for decision-span sampling (0 = off); the ambient
-    #: :func:`decision_tracing` scope overrides it for every cell.
-    trace_decisions: float = 0.0
 
     def __post_init__(self) -> None:
         if self.quota_mode not in ("none", "hard", "soft"):
@@ -173,7 +158,7 @@ class Cell:
     def ycsb(cls, label: str, shape: HierarchyShape, policy: MigrationPolicy,
              mix: str, db_gb: float, *, skew: float = 0.3,
              workload_seed: int = 3, **kwargs) -> "Cell":
-        """A YCSB grid point (mirrors ``common.run_ycsb`` defaults)."""
+        """A YCSB grid point over ``db_gb`` GB of 1 KB tuples."""
         spec = WorkloadSpec(kind="ycsb", db_gb=db_gb, mix=mix, skew=skew,
                             seed=workload_seed)
         return cls(label=label, shape=shape, policy=policy, workload=spec,
@@ -182,7 +167,7 @@ class Cell:
     @classmethod
     def tpcc(cls, label: str, shape: HierarchyShape, policy: MigrationPolicy,
              db_gb: float, *, workload_seed: int = 3, **kwargs) -> "Cell":
-        """A TPC-C grid point (mirrors ``common.run_tpcc`` defaults)."""
+        """A TPC-C grid point over a ``db_gb`` GB database."""
         spec = WorkloadSpec(kind="tpcc", db_gb=db_gb, seed=workload_seed)
         return cls(label=label, shape=shape, policy=policy, workload=spec,
                    **kwargs)
@@ -199,8 +184,8 @@ class Cell:
         ``interleave_seed`` seeds the weighted stream interleaver (it
         rides in ``workload.seed``).  The ``workload`` field carries the
         lead tenant's profile purely for display — execution resolves
-        the full tenant population.  Per-tenant tracking defaults on so
-        results carry breakdowns.
+        the full tenant population.  Multi-tenant cells always track
+        tenants, so results carry per-tenant breakdowns.
         """
         tenants = tuple(tenants)
         if not tenants:
@@ -211,7 +196,6 @@ class Cell:
             mix=lead.mix if lead.kind == "ycsb" else None,
             skew=lead.skew, seed=interleave_seed,
         )
-        kwargs.setdefault("track_tenants", True)
         return cls(label=label, shape=shape, policy=policy, workload=spec,
                    tenants=tenants, quota_mode=quota_mode,
                    shares=tuple(shares), **kwargs)
@@ -247,101 +231,87 @@ class CellExecutionError(RuntimeError):
 
 
 # ----------------------------------------------------------------------
-# Execution scopes and their transport: ExecContext
+# Run settings and their transport: ExecContext
 # ----------------------------------------------------------------------
-# The session scopes (metrics collection, batch execution, fault
-# injection, tenant tagging) used to travel into pool workers as
-# environment variables,
-# relying on workers inheriting the parent's environment at fork time.
-# A *persistent* pool breaks that scheme: workers fork once, so a scope
-# entered after the pool exists would silently not apply inside it.
-# Instead the ambient scope state lives in context variables (also
-# making scopes thread-safe for the CLI's suite session, where several
-# figure drivers run concurrently), and every submission captures it
-# into an explicit ExecContext value that the worker installs around
-# the chunk it executes.
-
-_metrics_on_var: contextvars.ContextVar[bool] = contextvars.ContextVar(
-    "repro_metrics_on", default=False)
-_metrics_sink_var: contextvars.ContextVar[list | None] = contextvars.ContextVar(
-    "repro_metrics_sink", default=None)
-_batch_size_var: contextvars.ContextVar[int | None] = contextvars.ContextVar(
-    "repro_batch_size", default=None)
-_fault_plan_var: contextvars.ContextVar[bytes | None] = contextvars.ContextVar(
-    "repro_fault_plan", default=None)
-_tenancy_on_var: contextvars.ContextVar[bool] = contextvars.ContextVar(
-    "repro_tenancy_on", default=False)
-_telemetry_var: contextvars.ContextVar[object | None] = contextvars.ContextVar(
-    "repro_telemetry", default=None)
-_decision_fraction_var: contextvars.ContextVar[float | None] = \
-    contextvars.ContextVar("repro_decision_fraction", default=None)
+# A persistent pool forks its workers once, so settings entered after
+# the pool exists cannot reach workers by inheritance.  Instead the
+# settings live in one context variable (which also keeps them
+# thread-safe for the CLI's suite session, where several figure
+# drivers run concurrently), and every submission captures the current
+# ExecContext value, which the worker installs around the chunk it
+# executes.
 
 
 @dataclass(frozen=True)
 class ExecContext:
-    """Ambient execution scopes, captured at submit time.
+    """How every cell in a scope runs: the ambient run settings.
 
-    Plain picklable values: the fault plan rides pre-pickled (it is
-    pickled once per scope entry, not once per task).  ``install()``
-    makes the context ambient — inside a worker, around a whole chunk.
+    Plain picklable values, captured at submit time.  The fault plan
+    rides pre-pickled (it is pickled once per scope entry, not once
+    per task).  Every setting is byte-neutral on figure output: metrics,
+    batching, no-op fault wrappers, tenant tagging, telemetry and
+    decision tracing change wall-clock time only.
     """
 
+    #: Attach a MetricsHub over every cell's measurement window.
     collect_metrics: bool = False
+    #: Operations per batch through the columnar batch path, or None
+    #: (the per-op loop).
     batch_size: int | None = None
+    #: A pickled :class:`~repro.faults.plan.FaultPlan`; every cell's
+    #: devices are wrapped with it before the buffer manager is built.
     fault_plan_payload: bytes | None = None
+    #: Build single-stream cells with ``TenancyConfig.single()``: every
+    #: op is tagged tenant 0 and results carry a tenant breakdown.
     tenant_tagging: bool = False
-    #: Ambient :class:`~repro.bench.telemetry.TelemetryChannel`, or None.
+    #: A :class:`~repro.bench.telemetry.TelemetryChannel`, or None.
     #: Manager-queue-backed channels pickle (the proxy crosses process
     #: boundaries); the in-process fallback degrades to a no-op emitter
-    #: inside workers.  Compared by identity in ``is_default`` — the
-    #: default context carries None.
+    #: inside workers.
     telemetry: object | None = None
     #: Page fraction for decision-span sampling, or None (tracing off).
     decision_fraction: float | None = None
 
-    @property
-    def is_default(self) -> bool:
-        return self == _DEFAULT_CONTEXT
-
-    @contextlib.contextmanager
-    def install(self):
-        tokens = (
-            _metrics_on_var.set(self.collect_metrics),
-            _batch_size_var.set(self.batch_size),
-            _fault_plan_var.set(self.fault_plan_payload),
-            _tenancy_on_var.set(self.tenant_tagging),
-            _telemetry_var.set(self.telemetry),
-            _decision_fraction_var.set(self.decision_fraction),
-        )
-        try:
-            yield self
-        finally:
-            _decision_fraction_var.reset(tokens[5])
-            _telemetry_var.reset(tokens[4])
-            _tenancy_on_var.reset(tokens[3])
-            _fault_plan_var.reset(tokens[2])
-            _batch_size_var.reset(tokens[1])
-            _metrics_on_var.reset(tokens[0])
+    def __post_init__(self) -> None:
+        if self.batch_size is not None and self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
+        if self.decision_fraction is not None and \
+                not 0.0 < self.decision_fraction <= 1.0:
+            raise ValueError("decision_fraction must be in (0, 1]")
 
 
-_DEFAULT_CONTEXT = ExecContext()
+_context_var: contextvars.ContextVar[ExecContext] = contextvars.ContextVar(
+    "repro_exec_context", default=ExecContext())
+#: The result sink of the enclosing :func:`metrics_collection`.  An
+#: output of the submitting process only: it never travels to workers.
+_metrics_sink_var: contextvars.ContextVar[list | None] = contextvars.ContextVar(
+    "repro_metrics_sink", default=None)
 
 
 def current_context() -> ExecContext:
-    """The ambient execution scopes of the calling thread."""
-    return ExecContext(
-        collect_metrics=_metrics_on_var.get(),
-        batch_size=_batch_size_var.get(),
-        fault_plan_payload=_fault_plan_var.get(),
-        tenant_tagging=_tenancy_on_var.get(),
-        telemetry=_telemetry_var.get(),
-        decision_fraction=_decision_fraction_var.get(),
-    )
+    """The ambient run settings of the calling thread."""
+    return _context_var.get()
 
 
-def metrics_collected() -> bool:
-    """Whether session-wide metrics collection is currently on."""
-    return _metrics_on_var.get()
+@contextlib.contextmanager
+def exec_scope(**overrides):
+    """Run every cell in this scope with ``overrides`` applied.
+
+    Keywords are :class:`ExecContext` fields, plus ``fault_plan=plan``,
+    which pickles ``plan`` into ``fault_plan_payload`` once, here.
+    Scopes nest: each one replaces only the fields it names.  Yields
+    the new context.
+    """
+    if "fault_plan" in overrides:
+        plan = overrides.pop("fault_plan")
+        overrides["fault_plan_payload"] = (
+            None if plan is None else pickle.dumps(plan))
+    ctx = replace(_context_var.get(), **overrides)
+    token = _context_var.set(ctx)
+    try:
+        yield ctx
+    finally:
+        _context_var.reset(token)
 
 
 @contextlib.contextmanager
@@ -354,13 +324,12 @@ def metrics_collection():
     list order gives byte-identical exports at any parallelism.
     """
     sink: list[tuple[str, RunResult]] = []
-    on_token = _metrics_on_var.set(True)
-    sink_token = _metrics_sink_var.set(sink)
+    token = _metrics_sink_var.set(sink)
     try:
-        yield sink
+        with exec_scope(collect_metrics=True):
+            yield sink
     finally:
-        _metrics_sink_var.reset(sink_token)
-        _metrics_on_var.reset(on_token)
+        _metrics_sink_var.reset(token)
 
 
 def _record_results(cells, results) -> None:
@@ -371,127 +340,6 @@ def _record_results(cells, results) -> None:
     for cell, result in zip(cells, results):
         if result.metrics is not None:
             sink.append((cell.label, result))
-
-
-def active_batch_size() -> int | None:
-    """The scoped batch-size override, or None."""
-    return _batch_size_var.get()
-
-
-@contextlib.contextmanager
-def batch_execution(batch_size: int):
-    """Run every cell in this scope through the batch path.
-
-    The batch path is byte-identical to the per-op loop by construction,
-    so wrapping a figure run in ``batch_execution(1024)`` changes only
-    wall-clock time — ``check_golden_figures.py --with-batching`` uses
-    exactly this to enforce that contract.
-    """
-    if batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
-    token = _batch_size_var.set(batch_size)
-    try:
-        yield batch_size
-    finally:
-        _batch_size_var.reset(token)
-
-
-def tenant_tagging_active() -> bool:
-    """Whether session-wide tenant tagging is currently on."""
-    return _tenancy_on_var.get()
-
-
-@contextlib.contextmanager
-def tenant_tagging():
-    """Run every cell in this scope with tenant plumbing enabled.
-
-    Single-stream cells get ``TenancyConfig.single()`` — every op is
-    tagged tenant 0, per-tenant admission/metrics machinery is live,
-    and behaviour is byte-identical to the untagged path by
-    construction.  ``check_golden_figures.py --with-tenancy`` wraps the
-    figure suite in exactly this scope to enforce that contract.
-    """
-    token = _tenancy_on_var.set(True)
-    try:
-        yield
-    finally:
-        _tenancy_on_var.reset(token)
-
-
-def active_fault_plan():
-    """The FaultPlan installed by the ambient scope, or None."""
-    payload = _fault_plan_var.get()
-    if payload is None:
-        return None
-    return pickle.loads(payload)
-
-
-@contextlib.contextmanager
-def fault_plan_injection(plan):
-    """Install ``plan`` under every cell run in this scope.
-
-    Each :func:`run_cell` wraps its hierarchy's devices with
-    :func:`~repro.faults.injector.inject_faults` before building the
-    buffer manager.  A no-op plan yields pure-delegation wrappers — the
-    golden-figure gate uses exactly this to prove figure JSON stays
-    byte-identical with the injection layer installed.
-    """
-    token = _fault_plan_var.set(pickle.dumps(plan))
-    try:
-        yield plan
-    finally:
-        _fault_plan_var.reset(token)
-
-
-def active_telemetry():
-    """The ambient TelemetryChannel, or None."""
-    return _telemetry_var.get()
-
-
-@contextlib.contextmanager
-def telemetry_channel(channel):
-    """Stream live progress from every cell run in this scope.
-
-    ``channel`` is a :class:`~repro.bench.telemetry.TelemetryChannel`;
-    each :func:`run_cell` emits cell start/progress/end events through
-    it, and the chaos matrix emits per-case events.  The channel is
-    strictly out-of-band: it carries wall-clock progress only, never
-    touches result payloads, and a dead transport degrades to silent
-    no-ops — so figure JSON stays byte-identical with the channel
-    attached at any ``--jobs`` (``check_golden_figures.py
-    --with-telemetry`` enforces exactly this).
-    """
-    token = _telemetry_var.set(channel)
-    try:
-        yield channel
-    finally:
-        _telemetry_var.reset(token)
-
-
-def active_decision_fraction() -> float | None:
-    """The ambient decision-span sampling fraction, or None."""
-    return _decision_fraction_var.get()
-
-
-@contextlib.contextmanager
-def decision_tracing(fraction: float = 1.0):
-    """Attach a DecisionRecorder to every cell run in this scope.
-
-    Each cell's measurement window gets a
-    :class:`~repro.obs.decisions.DecisionRecorder` recording every
-    migration/admission/eviction decision (spans sampled at
-    ``fraction`` by deterministic page-id hash); results carry the
-    trace in ``RunResult.decision_trace``.  The recorder is read-only
-    on the decision path by contract, so tracing cannot perturb RNG
-    draws or admission-queue state — figure output stays byte-identical.
-    """
-    if not 0.0 < fraction <= 1.0:
-        raise ValueError("fraction must be in (0, 1]")
-    token = _decision_fraction_var.set(fraction)
-    try:
-        yield fraction
-    finally:
-        _decision_fraction_var.reset(token)
 
 
 # ----------------------------------------------------------------------
@@ -667,7 +515,8 @@ def _exec_chunk(runner, items: tuple, ctx: ExecContext) -> list:
     first failing index, so later outcomes would be discarded anyway.
     """
     out: list[tuple[bool, object]] = []
-    with ctx.install():
+    token = _context_var.set(ctx)
+    try:
         for position, item in enumerate(items):
             try:
                 out.append((True, runner(item)))
@@ -678,6 +527,8 @@ def _exec_chunk(runner, items: tuple, ctx: ExecContext) -> list:
                     for _ in range(len(items) - position - 1)
                 )
                 break
+    finally:
+        _context_var.reset(token)
     return out
 
 
@@ -878,23 +729,22 @@ def run_session(jobs: int):
 def run_cell(cell: Cell) -> RunResult:
     """Build and measure one cell from scratch (runs inside workers too).
 
-    Scope state (metrics / batch size / fault plan) is read from the
-    ambient context — in a worker, that is the :class:`ExecContext`
-    the chunk arrived with.
+    Run settings are read from :func:`current_context` — in a worker,
+    that is the :class:`ExecContext` the chunk arrived with.
     """
+    ctx = current_context()
     hierarchy = StorageHierarchy(cell.shape, cell.scale,
                                  memory_mode=cell.memory_mode)
-    plan = active_fault_plan()
-    if plan is not None:
+    if ctx.fault_plan_payload is not None:
         # Devices must be wrapped before the BM captures references.
         from ..faults.injector import inject_faults
 
-        inject_faults(hierarchy, plan)
+        inject_faults(hierarchy, pickle.loads(ctx.fault_plan_payload))
     config = cell.bm_config
     if config is None:
         config = BufferManagerConfig(seed=cell.seed)
     spec = cell.workload
-    tagging = cell.track_tenants or tenant_tagging_active()
+    tagging = bool(cell.tenants) or ctx.tenant_tagging
 
     multi = None
     if cell.tenants:
@@ -915,7 +765,7 @@ def run_cell(cell: Cell) -> RunResult:
         config = replace(config, tenancy=TenancyConfig.single())
 
     bm = BufferManager(hierarchy, cell.policy, config)
-    channel = active_telemetry()
+    channel = ctx.telemetry
     progress = None
     if channel is not None:
         channel.emit(
@@ -923,9 +773,6 @@ def run_cell(cell: Cell) -> RunResult:
             expected_ops=cell.effort.warmup_ops + cell.effort.measure_ops,
         )
         progress = channel.progress_callback(cell.label)
-    fraction = active_decision_fraction()
-    if fraction is None:
-        fraction = cell.trace_decisions
     runner = WorkloadRunner(
         bm,
         RunConfig(
@@ -933,13 +780,13 @@ def run_cell(cell: Cell) -> RunResult:
             measure_ops=cell.effort.measure_ops,
             workers=cell.workers,
             with_wal=cell.with_wal,
-            collect_metrics=cell.collect_metrics or metrics_collected(),
-            batch_size=active_batch_size() or cell.batch_size,
+            collect_metrics=ctx.collect_metrics,
+            batch_size=ctx.batch_size or 1,
             track_tenants=tagging,
             progress=progress,
             progress_every_ops=(channel.every_ops if channel is not None
                                 else RunConfig.progress_every_ops),
-            trace_decisions=fraction,
+            trace_decisions=ctx.decision_fraction or 0.0,
         ),
     )
     try:

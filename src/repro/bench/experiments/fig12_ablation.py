@@ -15,43 +15,30 @@ optimizations.
 from __future__ import annotations
 
 from ...core.buffer_manager import BufferManagerConfig
-from ...core.hymem import make_hymem
-from ...core.policy import SPITFIRE_EAGER, SPITFIRE_LAZY, MigrationPolicy
-from ...hardware.cost_model import StorageHierarchy
+from ...core.policy import HYMEM_POLICY, SPITFIRE_EAGER, SPITFIRE_LAZY
 from ...pages.granularity import OPTANE_LOADING_UNIT
-from ...workloads.ycsb import YCSB_RO
 from ..reporting import ExperimentResult
-from .common import HYMEM_DB_GB, HYMEM_SHAPE, effort, run_tpcc, run_ycsb
+from .common import HYMEM_DB_GB, HYMEM_SHAPE, Cell, CellBatch, effort
 
-POLICIES = ("HyMem", "Spf-Eager", "Spf-Lazy")
+POLICIES = {
+    "HyMem": HYMEM_POLICY,
+    "Spf-Eager": SPITFIRE_EAGER,
+    "Spf-Lazy": SPITFIRE_LAZY,
+}
 VARIANTS = ("none", "+fine-grained", "+mini-page")
 WORKERS = 16
 
 
-def _build(policy_name: str, variant: str):
-    fine = variant != "none"
-    mini = variant == "+mini-page"
-    if policy_name == "HyMem":
-        hierarchy = StorageHierarchy(HYMEM_SHAPE)
-        return make_hymem(
-            hierarchy, fine_grained=fine, mini_pages=mini,
-            loading_unit=OPTANE_LOADING_UNIT,
-        )
-    policy: MigrationPolicy = (
-        SPITFIRE_EAGER if policy_name == "Spf-Eager" else SPITFIRE_LAZY
-    )
-    hierarchy = StorageHierarchy(HYMEM_SHAPE)
-    config = BufferManagerConfig(
-        fine_grained=fine, mini_pages=mini,
+def _config(variant: str) -> BufferManagerConfig:
+    """The layout optimizations of one ablation step, at §6.5's 256 B."""
+    return BufferManagerConfig(
+        fine_grained=variant != "none",
+        mini_pages=variant == "+mini-page",
         loading_unit=OPTANE_LOADING_UNIT,
     )
-    from ...core.buffer_manager import BufferManager
-
-    return BufferManager(hierarchy, policy, config)
 
 
 def run(quick: bool = True, jobs: int = 1) -> ExperimentResult:
-    del jobs  # variants share one trace; runs are inherently serial
     eff = effort(quick)
     result = ExperimentResult(
         "fig12", "Ablation of HyMem's Optimizations Across Policies"
@@ -60,18 +47,27 @@ def run(quick: bool = True, jobs: int = 1) -> ExperimentResult:
         dram_gb=HYMEM_SHAPE.dram_gb, nvm_gb=HYMEM_SHAPE.nvm_gb,
         db_gb=HYMEM_DB_GB, loading_unit=256, workers=WORKERS,
     )
+    batch = CellBatch()
+    for workload in ("YCSB-RO", "TPC-C"):
+        for policy_name, policy in POLICIES.items():
+            for variant in VARIANTS:
+                label = f"{workload}/{policy_name}/{variant}"
+                knobs = dict(effort=eff, bm_config=_config(variant),
+                             workers=WORKERS, extra_worker_counts=())
+                if workload == "TPC-C":
+                    cell = Cell.tpcc(label, HYMEM_SHAPE, policy,
+                                     HYMEM_DB_GB, **knobs)
+                else:
+                    cell = Cell.ycsb(label, HYMEM_SHAPE, policy, workload,
+                                     HYMEM_DB_GB, **knobs)
+                batch.add((workload, policy_name, variant), cell)
+    runs = batch.run(jobs=jobs)
     for workload in ("YCSB-RO", "TPC-C"):
         for policy_name in POLICIES:
             series = result.new_series(f"{workload}/{policy_name}")
             for variant in VARIANTS:
-                bm = _build(policy_name, variant)
-                if workload == "TPC-C":
-                    res = run_tpcc(bm, HYMEM_DB_GB, eff=eff, workers=WORKERS,
-                                   extra_worker_counts=())
-                else:
-                    res = run_ycsb(bm, YCSB_RO, HYMEM_DB_GB, eff=eff,
-                                   workers=WORKERS, extra_worker_counts=())
-                series.add(variant, res.throughput)
+                series.add(variant,
+                           runs[(workload, policy_name, variant)].throughput)
     for workload in ("YCSB-RO", "TPC-C"):
         lazy_base = result.series[f"{workload}/Spf-Lazy"].y_at("none")
         best_other = max(

@@ -7,7 +7,8 @@ This module adds a **strictly out-of-band** side channel:
 
 * a :class:`TelemetryChannel` wraps a ``multiprocessing.Manager``
   queue proxy — unlike a plain ``multiprocessing.Queue``, a manager
-  proxy pickles, so it can ride inside the executor's per-submission
+  proxy pickles, so ``exec_scope(telemetry=channel)`` can carry it
+  inside the executor's per-submission
   :class:`~repro.bench.executor.ExecContext` into pool workers that
   were forked long before the channel existed;
 * workers emit small dict events — cell started (with the expected op
@@ -41,8 +42,9 @@ DEFAULT_EVERY_OPS = 2_000
 class TelemetryChannel:
     """A picklable, fire-and-forget event channel into the session.
 
-    Built by :func:`open_channel` in the session process; travels into
-    workers via :class:`~repro.bench.executor.ExecContext`.  ``emit``
+    Built by :func:`open_channel` in the session process; attached with
+    ``exec_scope(telemetry=channel)`` and carried into workers by
+    :class:`~repro.bench.executor.ExecContext`.  ``emit``
     never raises and never blocks the measured workload: any transport
     failure (manager gone, queue full, interpreter shutdown) drops the
     event silently — telemetry is advisory by design.

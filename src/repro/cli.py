@@ -127,8 +127,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.live:
             aggregator = _attach_live(stack, executor)
         if args.trace_decisions:
-            stack.enter_context(
-                executor.decision_tracing(args.trace_decisions))
+            stack.enter_context(executor.exec_scope(
+                decision_fraction=args.trace_decisions))
         sink, records = _run_experiments(chosen, args, collect=collect)
     if args.metrics_out:
         _export_metrics(args.metrics_out, sink)
@@ -178,7 +178,7 @@ def _attach_live(stack: contextlib.ExitStack, executor):
     aggregator = ProgressAggregator(channel).start()
     stack.callback(channel.close)
     stack.callback(aggregator.stop)
-    stack.enter_context(executor.telemetry_channel(channel))
+    stack.enter_context(executor.exec_scope(telemetry=channel))
     return aggregator
 
 
@@ -495,8 +495,8 @@ def serve_metrics_main(argv: list[str]) -> int:
         if args.live:
             _attach_live(stack, executor)
         if args.trace_decisions:
-            stack.enter_context(
-                executor.decision_tracing(args.trace_decisions))
+            stack.enter_context(executor.exec_scope(
+                decision_fraction=args.trace_decisions))
         _run_experiments(chosen, args, collect=False)
         final_scrape = server.scrape()
         served = server.requests_served

@@ -23,10 +23,10 @@ actually fails:
   tail / last page write when it crashes the system.
 
 Plans are plain frozen dataclasses over tuples and ints, so they pickle
-cleanly into executor worker processes — the
-:func:`~repro.bench.executor.fault_plan_injection` scope carries the
-pickled plan to every worker inside each submission's
-:class:`~repro.bench.executor.ExecContext`.
+cleanly into executor worker processes —
+``exec_scope(fault_plan=plan)`` (:func:`~repro.bench.executor.exec_scope`)
+pickles the plan once and carries it to every worker inside each
+submission's :class:`~repro.bench.executor.ExecContext`.
 """
 
 from __future__ import annotations

@@ -25,9 +25,8 @@ import pytest
 from repro.bench.executor import (
     Cell,
     Effort,
-    active_batch_size,
-    batch_execution,
-    fault_plan_injection,
+    current_context,
+    exec_scope,
     run_cell,
 )
 from repro.core.buffer_manager import BufferManager, BufferManagerConfig
@@ -77,51 +76,48 @@ def _fingerprint(result) -> dict:
     }
 
 
-def _ycsb_cell(mix: str, **kwargs) -> Cell:
+def _ycsb_cell(mix: str) -> Cell:
     return Cell.ycsb(f"batch-eq/{mix}", SHAPE, SPITFIRE_LAZY, mix, 10.0,
-                     effort=TINY, extra_worker_counts=(), **kwargs)
+                     effort=TINY, extra_worker_counts=())
+
+
+def _measured(cell: Cell, **scope) -> dict:
+    """The fingerprint of ``cell`` run with a metrics hub under ``scope``."""
+    with exec_scope(collect_metrics=True, **scope):
+        return _fingerprint(run_cell(cell))
 
 
 @functools.lru_cache(maxsize=None)
 def _ycsb_baseline(mix: str) -> str:
     """Per-op fingerprint, rendered comparable and cached across params."""
-    return repr(_fingerprint(run_cell(_ycsb_cell(mix, collect_metrics=True))))
+    return repr(_measured(_ycsb_cell(mix)))
 
 
 class TestRunEquivalence:
     @pytest.mark.parametrize("mix", sorted(MIXES))
     @pytest.mark.parametrize("batch_size", BATCH_SIZES)
     def test_ycsb_batched_equals_per_op(self, mix, batch_size):
-        with batch_execution(batch_size):
-            batched = run_cell(_ycsb_cell(mix, collect_metrics=True))
-        assert repr(_fingerprint(batched)) == _ycsb_baseline(mix)
+        batched = _measured(_ycsb_cell(mix), batch_size=batch_size)
+        assert repr(batched) == _ycsb_baseline(mix)
 
     def test_tpcc_batched_equals_per_op(self):
         cell = Cell.tpcc("batch-eq/tpcc", SHAPE, SPITFIRE_LAZY, 10.0,
-                         effort=TINY, extra_worker_counts=(),
-                         collect_metrics=True)
-        baseline = _fingerprint(run_cell(cell))
-        with batch_execution(1024):
-            batched = _fingerprint(run_cell(cell))
-        assert batched == baseline
+                         effort=TINY, extra_worker_counts=())
+        assert _measured(cell, batch_size=1024) == _measured(cell)
 
     def test_sampling_boundaries_mid_batch(self):
         """Batches larger than the sampling interval split correctly."""
         cell = Cell.ycsb("batch-eq/crossing", SHAPE, SPITFIRE_LAZY,
                          "YCSB-BA", 10.0, effort=CROSSING,
-                         extra_worker_counts=(), collect_metrics=True)
-        baseline = _fingerprint(run_cell(cell))
-        with batch_execution(1024):
-            batched = _fingerprint(run_cell(cell))
-        assert batched == baseline
+                         extra_worker_counts=())
+        assert _measured(cell, batch_size=1024) == _measured(cell)
 
     def test_equivalence_with_noop_fault_wrappers(self):
         """The contract holds with FaultyDevice wrappers installed."""
-        cell = _ycsb_cell("YCSB-BA", collect_metrics=True)
-        with fault_plan_injection(FaultPlan.none()):
-            baseline = _fingerprint(run_cell(cell))
-            with batch_execution(64):
-                batched = _fingerprint(run_cell(cell))
+        cell = _ycsb_cell("YCSB-BA")
+        with exec_scope(fault_plan=FaultPlan.none()):
+            baseline = _measured(cell)
+            batched = _measured(cell, batch_size=64)
         assert batched == baseline
 
     def test_eager_policy_and_event_trace(self):
@@ -129,22 +125,22 @@ class TestRunEquivalence:
         cell = Cell.ycsb("batch-eq/eager", SHAPE, SPITFIRE_EAGER, "YCSB-BA",
                          10.0, effort=TINY, extra_worker_counts=())
         baseline = _fingerprint(run_cell(cell))
-        with batch_execution(64):
+        with exec_scope(batch_size=64):
             batched = _fingerprint(run_cell(cell))
         assert batched == baseline
 
     def test_batch_size_env_scope(self):
-        assert active_batch_size() is None
-        with batch_execution(64):
-            assert active_batch_size() == 64
-            with batch_execution(7):
-                assert active_batch_size() == 7
-            assert active_batch_size() == 64
-        assert active_batch_size() is None
+        assert current_context().batch_size is None
+        with exec_scope(batch_size=64):
+            assert current_context().batch_size == 64
+            with exec_scope(batch_size=7):
+                assert current_context().batch_size == 7
+            assert current_context().batch_size == 64
+        assert current_context().batch_size is None
 
     def test_batch_size_must_be_positive(self):
         with pytest.raises(ValueError):
-            with batch_execution(0):
+            with exec_scope(batch_size=0):
                 pass
 
 

@@ -80,9 +80,19 @@ class TestDeterminism:
                json.dumps(four.to_dict(), sort_keys=True)
 
     def test_run_cell_matches_run_cells(self):
-        cell = tiny_cell()
-        assert run_cell(cell).throughput == \
-               run_cells([cell], jobs=1)[0].throughput
+        cells = [
+            tiny_cell(),
+            Cell.ycsb("ycsb-16w", SHAPE, SPITFIRE_LAZY, "YCSB-RO", 8.0,
+                      effort=TINY, extra_worker_counts=(16,)),
+            Cell.tpcc("tpcc", SHAPE, SPITFIRE_LAZY, 4.0, effort=TINY),
+        ]
+        for cell in cells:
+            result = run_cell(cell)
+            assert result.throughput == \
+                   run_cells([cell], jobs=1)[0].throughput
+            assert result.operations == cell.effort.measure_ops
+            for workers in cell.extra_worker_counts:
+                assert workers in result.throughput_by_workers
 
 
 class TestErrors:

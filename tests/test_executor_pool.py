@@ -1,9 +1,9 @@
 """The persistent worker pool: reuse, context transport, fallback.
 
-PR 7's executor rework replaced per-batch pools with one session-scoped
-persistent pool and moved scope transport from inherited environment
-variables to an explicit per-submission :class:`ExecContext`.  These
-tests pin the new machinery down:
+The executor runs batches on one session-scoped persistent pool and
+carries run settings to workers in an explicit per-submission
+:class:`ExecContext`, never through inherited process state.  These
+tests pin that machinery down:
 
 * the pool survives across batches (same generation, warm reuse);
 * scopes entered *after* the pool exists still reach workers — the
@@ -17,6 +17,7 @@ tests pin the new machinery down:
 from __future__ import annotations
 
 import os
+import pickle
 
 import pytest
 
@@ -27,12 +28,8 @@ from repro.bench.executor import (
     Effort,
     ExecContext,
     _plan_chunks,
-    active_batch_size,
-    active_fault_plan,
-    batch_execution,
     current_context,
-    fault_plan_injection,
-    metrics_collected,
+    exec_scope,
     metrics_collection,
     pool_info,
     run_cells,
@@ -135,8 +132,7 @@ class TestContextAfterPool:
 
         def collect(jobs: int):
             with metrics_collection() as sink, \
-                    batch_execution(1024), \
-                    fault_plan_injection(FaultPlan.none()):
+                    exec_scope(batch_size=1024, fault_plan=FaultPlan.none()):
                 results = run_cells(cells, jobs=jobs)
             lines = [
                 line
@@ -157,29 +153,47 @@ class TestContextAfterPool:
 
     def test_current_context_captures_all_scopes(self):
         assert current_context() == ExecContext()
-        with metrics_collection(), batch_execution(64), \
-                fault_plan_injection(FaultPlan.none()):
+        with metrics_collection(), \
+                exec_scope(batch_size=64, fault_plan=FaultPlan.none()), \
+                exec_scope(tenant_tagging=True, decision_fraction=0.5):
             ctx = current_context()
         assert ctx.collect_metrics
         assert ctx.batch_size == 64
         assert ctx.fault_plan_payload is not None
-        assert not ctx.is_default
+        assert ctx.tenant_tagging
+        assert ctx.decision_fraction == 0.5
+        assert ctx != ExecContext()
         assert current_context() == ExecContext()
 
     def test_install_round_trips_into_ambient_state(self):
-        ctx = ExecContext(collect_metrics=True, batch_size=32)
-        assert not metrics_collected()
-        with ctx.install():
-            assert metrics_collected()
-            assert active_batch_size() == 32
-            assert active_fault_plan() is None
-        assert not metrics_collected()
-        assert active_batch_size() is None
+        with exec_scope(collect_metrics=True, batch_size=32) as ctx:
+            assert current_context() is ctx
+            assert ctx == ExecContext(collect_metrics=True, batch_size=32)
+            with exec_scope(batch_size=7):
+                assert current_context().batch_size == 7
+                assert current_context().collect_metrics
+            assert current_context() is ctx
+        assert current_context() == ExecContext()
 
     def test_fault_plan_pickled_once_per_scope(self):
         plan = FaultPlan.seeded(7, read_error_rate=0.01)
-        with fault_plan_injection(plan):
-            assert active_fault_plan() == plan
+        with exec_scope(fault_plan=plan) as ctx:
+            assert pickle.loads(ctx.fault_plan_payload) == plan
+            with exec_scope(batch_size=8):
+                assert current_context().fault_plan_payload is \
+                       ctx.fault_plan_payload
+
+    @pytest.mark.parametrize("overrides", [
+        {"batch_size": 0},
+        {"decision_fraction": 0.0},
+        {"decision_fraction": 1.5},
+    ])
+    def test_bad_settings_rejected(self, overrides):
+        with pytest.raises(ValueError):
+            ExecContext(**overrides)
+        with pytest.raises(ValueError):
+            with exec_scope(**overrides):
+                pass
 
 
 class TestWorkerCrashFallback:

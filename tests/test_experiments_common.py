@@ -9,13 +9,10 @@ from repro.bench.experiments.common import (
     SWEEP_PROBS,
     build_bm,
     effort,
-    run_tpcc,
-    run_ycsb,
 )
 from repro.core.policy import NVM_SSD_POLICY, SPITFIRE_LAZY
 from repro.hardware.pricing import HierarchyShape
 from repro.hardware.specs import SimulationScale
-from repro.workloads.ycsb import YCSB_RO
 
 TINY = SimulationScale(pages_per_gb=4)
 
@@ -56,22 +53,3 @@ class TestBuilders:
         bm = build_bm(HierarchyShape(1, 4, 100), NVM_SSD_POLICY, scale=TINY,
                       memory_mode=True)
         assert bm.hierarchy.memory_mode
-
-    def test_run_ycsb_end_to_end(self):
-        from repro.bench.experiments.common import Effort
-
-        bm = build_bm(HierarchyShape(1, 4, 100), SPITFIRE_LAZY, scale=TINY)
-        result = run_ycsb(bm, YCSB_RO, db_gb=8.0, scale=TINY,
-                          eff=Effort(warmup_ops=100, measure_ops=200),
-                          extra_worker_counts=(16,))
-        assert result.operations == 200
-        assert 16 in result.throughput_by_workers
-
-    def test_run_tpcc_end_to_end(self):
-        from repro.bench.experiments.common import Effort
-
-        bm = build_bm(HierarchyShape(1, 4, 100), SPITFIRE_LAZY, scale=TINY)
-        result = run_tpcc(bm, db_gb=4.0, scale=TINY,
-                          eff=Effort(warmup_ops=100, measure_ops=200))
-        assert result.operations == 200
-        assert result.throughput > 0

@@ -9,7 +9,7 @@ from conftest import make_bm
 from repro.bench.executor import (
     Cell,
     Effort,
-    metrics_collected,
+    current_context,
     metrics_collection,
     run_cells,
 )
@@ -158,10 +158,10 @@ class TestExecutorDeterminism:
         assert serial == parallel
 
     def test_collection_scope_restores_environment(self):
-        assert not metrics_collected()
+        assert not current_context().collect_metrics
         with metrics_collection():
-            assert metrics_collected()
-        assert not metrics_collected()
+            assert current_context().collect_metrics
+        assert not current_context().collect_metrics
 
 
 class TestCliMetricsOut:

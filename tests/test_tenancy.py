@@ -13,8 +13,8 @@ import pytest
 from repro.bench.executor import (
     Cell,
     Effort,
+    exec_scope,
     run_cells,
-    tenant_tagging,
 )
 from repro.core.buffer_manager import BufferManager, BufferManagerConfig
 from repro.core.policy import POLICY_PRESETS, SPITFIRE_EAGER, SPITFIRE_LAZY
@@ -348,7 +348,7 @@ class TestSingleTenantIdentity:
                          "YCSB-BA", 2.0, effort=SMALL_EFFORT,
                          extra_worker_counts=())
         baseline = run_cells([cell])[0]
-        with tenant_tagging():
+        with exec_scope(tenant_tagging=True):
             tagged = run_cells([cell])[0]
         assert baseline.throughput == tagged.throughput
         assert baseline.stats == tagged.stats
@@ -401,10 +401,10 @@ class TestMetricsReconciliation:
         cell = Cell.ycsb(
             f"recon/{mix}/b{batch_size}", SMALL_SHAPE, SPITFIRE_LAZY,
             mix, 2.0, effort=SMALL_EFFORT, extra_worker_counts=(),
-            collect_metrics=True, track_tenants=True,
-            batch_size=batch_size,
         )
-        result = run_cells([cell])[0]
+        with exec_scope(collect_metrics=True, tenant_tagging=True,
+                        batch_size=batch_size):
+            result = run_cells([cell])[0]
         (global_buckets, global_sum), (tenant_buckets, tenant_sum) = \
             reconcile(result)
         assert tenant_buckets == global_buckets
@@ -417,13 +417,14 @@ class TestMetricsReconciliation:
             Cell.ycsb(
                 f"recon-par/{mix}/b{batch_size}", SMALL_SHAPE,
                 SPITFIRE_LAZY, mix, 2.0, effort=SMALL_EFFORT,
-                extra_worker_counts=(), collect_metrics=True,
-                track_tenants=True, batch_size=batch_size,
+                extra_worker_counts=(),
             )
             for mix in sorted(MIXES)
         ]
-        serial = run_cells(cells, jobs=1)
-        parallel = run_cells(cells, jobs=4)
+        with exec_scope(collect_metrics=True, tenant_tagging=True,
+                        batch_size=batch_size):
+            serial = run_cells(cells, jobs=1)
+            parallel = run_cells(cells, jobs=4)
         for left, right in zip(serial, parallel):
             assert left.throughput == right.throughput
             assert left.tenant_breakdown == right.tenant_breakdown
@@ -435,8 +436,9 @@ class TestMetricsReconciliation:
     def test_untracked_runs_have_no_tenant_series(self):
         cell = Cell.ycsb("no-tenants", SMALL_SHAPE, SPITFIRE_LAZY,
                          "YCSB-BA", 2.0, effort=SMALL_EFFORT,
-                         extra_worker_counts=(), collect_metrics=True)
-        result = run_cells([cell])[0]
+                         extra_worker_counts=())
+        with exec_scope(collect_metrics=True):
+            result = run_cells([cell])[0]
         assert not series_by_name(result.metrics, "tenant_ops_total")
         assert not series_by_name(result.metrics, "tenant_op_latency_ns")
 
