@@ -147,8 +147,14 @@ class AccessPath:
               is_write: bool, hit: bool) -> AccessResult:
         """Serve an access on whichever node the walk landed on."""
         if node.index == 0 and not node.persistent:
-            self.fine.serve_resident_access(node, shared, descriptor, offset,
-                                            nbytes, is_write)
+            if not isinstance(descriptor.content, Page):
+                self.fine.serve_resident_access(node, shared, descriptor,
+                                                offset, nbytes, is_write)
+            elif is_write:
+                descriptor.mark_dirty()
+                device_write(node.device, descriptor.page_id, nbytes)
+            else:
+                device_read(node.device, descriptor.page_id, nbytes)
             return AccessResult(shared.page_id, node.tier, hit=hit)
         self.serve_direct(node, descriptor, nbytes, is_write)
         return AccessResult(shared.page_id, node.tier, hit=hit,

@@ -2,8 +2,8 @@
 
 This component owns everything about *partial* DRAM page layouts:
 
-* serving an access on a top-tier copy, loading missing cache lines
-  from the NVM backing page on demand (:meth:`FineGrainedOps.serve_resident_access`),
+* serving an access on a partial top-tier copy, loading missing cache
+  lines from the NVM backing page on demand (:meth:`FineGrainedOps.serve_resident_access`),
 * the cost model of a fine-grained load — device latency once per load,
   media amplification in full (:meth:`FineGrainedOps.charge_fine_grained_load`),
   which is exactly what makes 64 B loading units lose on Optane (Fig. 11),
@@ -62,6 +62,8 @@ class FineGrainedOps:
     def serve_resident_access(self, node: TierNode, shared: SharedPageDescriptor,
                               descriptor: TierPageDescriptor, offset: int,
                               nbytes: int, is_write: bool) -> None:
+        """Serve an access on a mini-page or cache-line top-tier copy
+        (plain pages are served by the access path itself)."""
         costs = self.hierarchy.cpu_costs
         content = descriptor.content
         if isinstance(content, MiniPage):
@@ -82,11 +84,8 @@ class FineGrainedOps:
                 for line in lines:
                     content.mark_dirty(line)
                 descriptor.mark_dirty()
-        elif isinstance(content, CacheLinePage):
-            self.serve_cacheline_access(content, offset, nbytes, is_write)
-            if is_write:
-                descriptor.mark_dirty()
         else:
+            self.serve_cacheline_access(content, offset, nbytes, is_write)
             if is_write:
                 descriptor.mark_dirty()
         self._finish_resident_access(node, descriptor, nbytes, is_write)

@@ -84,6 +84,7 @@ class Device:
         self._seq_write_ns_per_byte = 1e9 / spec.seq_write_bw
         self._rand_write_ns_per_byte = 1e9 / spec.rand_write_bw
         self._is_ssd = spec.tier is Tier.SSD
+        self._barrier_ns = spec.persist_barrier_ns
 
     # ------------------------------------------------------------------
     @property
@@ -241,7 +242,7 @@ class Device:
         The barrier stalls the issuing worker, not the device, so it is
         charged as worker time.
         """
-        service = self.spec.persist_barrier_ns
+        service = self._barrier_ns
         with self._lock:
             self.counters.persist_barriers += 1
         if service:

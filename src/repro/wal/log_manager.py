@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from ..core.devio import write_with_retry
 from ..hardware.cost_model import StorageHierarchy
 from ..hardware.specs import Tier
-from .records import LogRecord, LogRecordType
+from .records import LogRecord, LogRecordType, record_crc
 
 
 @dataclass
@@ -78,6 +78,13 @@ class LogManager:
         #: Volatile group-commit batch (DRAM-SSD mode only).
         self._pending_group: list[LogRecord] = []
         self._pending_bytes = 0
+        #: COMMIT records in ``_pending_group``.
+        self._pending_commits = 0
+        #: Fixed: a hierarchy's tiers and memory mode never change.
+        #: Devices are still looked up per append, because fault
+        #: injection swaps ``hierarchy.devices`` entries in place.
+        self.uses_nvm = (hierarchy.has_tier(Tier.NVM)
+                         and not hierarchy.memory_mode)
         #: Observer called (inside the append lock) with each record
         #: just after it is staged/persisted.  Used by the crash-point
         #: enumerator to mark WAL-append boundaries; must not re-enter
@@ -88,10 +95,6 @@ class LogManager:
         self.on_torn = None
 
     # ------------------------------------------------------------------
-    @property
-    def uses_nvm(self) -> bool:
-        return self.hierarchy.has_tier(Tier.NVM) and not self.hierarchy.memory_mode
-
     @property
     def next_lsn(self) -> int:
         with self._lock:
@@ -117,32 +120,28 @@ class LogManager:
                after: bytes | None = None, undo_next_lsn: int = -1) -> LogRecord:
         """Build and append one record; returns it (with its LSN)."""
         with self._lock:
+            lsn = self._next_lsn
             record = LogRecord(
-                lsn=self._next_lsn,
-                record_type=record_type,
-                txn_id=txn_id,
-                page_id=page_id,
-                slot=slot,
-                prev_lsn=prev_lsn,
-                before=before,
-                after=after,
-                undo_next_lsn=undo_next_lsn,
-            ).with_checksum()
-            self._next_lsn += 1
+                lsn, record_type, txn_id, page_id, slot, prev_lsn, before,
+                after, undo_next_lsn,
+                record_crc(lsn, record_type, txn_id, page_id, slot, prev_lsn,
+                           undo_next_lsn, before, after),
+            )
+            self._next_lsn = lsn + 1
+            size = record.size_bytes()
             self.stats.records_appended += 1
-            self.stats.bytes_appended += record.size_bytes()
+            self.stats.bytes_appended += size
             if self.uses_nvm:
-                self._append_nvm(record)
+                self._append_nvm(record, size)
             else:
-                self._append_grouped(record)
+                self._append_grouped(record, size)
             if self.on_append is not None:
                 self.on_append(record)
             return record
 
-    def _append_nvm(self, record: LogRecord) -> None:
+    def _append_nvm(self, record: LogRecord, size: int) -> None:
         """Persist the record in the NVM log buffer (§3.2's direct path)."""
         device = self.hierarchy.device(Tier.NVM)
-        size = record.size_bytes()
         write_with_retry(device, size, sequential=True)
         device.persist_barrier()
         self._nvm_buffer.append(record)
@@ -161,13 +160,14 @@ class LogManager:
         self._nvm_buffer_used = 0
         self.stats.nvm_buffer_drains += 1
 
-    def _append_grouped(self, record: LogRecord) -> None:
+    def _append_grouped(self, record: LogRecord, size: int) -> None:
         """Stage the record in the volatile DRAM group-commit batch."""
         if self.hierarchy.has_tier(Tier.DRAM):
-            write_with_retry(self.hierarchy.device(Tier.DRAM),
-                             record.size_bytes())
+            write_with_retry(self.hierarchy.device(Tier.DRAM), size)
         self._pending_group.append(record)
-        self._pending_bytes += record.size_bytes()
+        self._pending_bytes += size
+        if record.record_type is LogRecordType.COMMIT:
+            self._pending_commits += 1
 
     # ------------------------------------------------------------------
     # Commit durability
@@ -183,11 +183,7 @@ class LogManager:
         record = self.append(LogRecordType.COMMIT, txn_id, prev_lsn=prev_lsn)
         if not self.uses_nvm:
             with self._lock:
-                group_commits = sum(
-                    1 for r in self._pending_group
-                    if r.record_type is LogRecordType.COMMIT
-                )
-                if group_commits >= self.group_commit_size:
+                if self._pending_commits >= self.group_commit_size:
                     self._flush_group()
         return record
 
@@ -199,6 +195,7 @@ class LogManager:
         self._durable.extend(self._pending_group)
         self._pending_group.clear()
         self._pending_bytes = 0
+        self._pending_commits = 0
         self.stats.group_commits += 1
 
     def flush(self) -> None:
@@ -246,6 +243,7 @@ class LogManager:
             lost = len(self._pending_group)
             self._pending_group.clear()
             self._pending_bytes = 0
+            self._pending_commits = 0
             return lost
 
     def _durable_tail(self) -> tuple[list[LogRecord], int] | None:

@@ -30,6 +30,28 @@ class LogRecordType(enum.Enum):
     CHECKPOINT_END = "checkpoint_end"
 
 
+def record_crc(lsn: int, record_type: LogRecordType, txn_id: int,
+               page_id: int, slot: int, prev_lsn: int, undo_next_lsn: int,
+               before: bytes | None, after: bytes | None) -> int:
+    """CRC32 over the canonical encoding of a record's payload fields.
+
+    The encoding is the ``|``-joined integer fields and type, then each
+    image length-prefixed (``b"-"`` for ``None``), so (b"ab", b"") and
+    (b"a", b"b") cannot collide and ``None`` stays distinct from b"".
+    The append path calls this on its arguments, before the record
+    exists, so each record is built once with its checksum set.
+    """
+    prefix = "-" if before is None else f"{len(before)}:"
+    crc = zlib.crc32(
+        f"{lsn}|{record_type._value_}|{txn_id}|{page_id}|{slot}|"
+        f"{prev_lsn}|{undo_next_lsn}|{prefix}".encode("ascii"))
+    if before is not None:
+        crc = zlib.crc32(before, crc)
+    if after is None:
+        return zlib.crc32(b"-", crc)
+    return zlib.crc32(after, zlib.crc32(f"{len(after)}:".encode("ascii"), crc))
+
+
 @dataclass(frozen=True)
 class LogRecord:
     """One immutable WAL entry."""
@@ -44,8 +66,8 @@ class LogRecord:
     after: bytes | None = None
     #: For CLRs: the next record of this txn still to be undone.
     undo_next_lsn: int = -1
-    #: CRC32 over the payload fields; 0 means "not checksummed" (a
-    #: record built outside :meth:`with_checksum` — legacy/test paths).
+    #: CRC32 over the payload fields (:func:`record_crc`); 0 means "not
+    #: checksummed" (a record built directly — legacy/test paths).
     checksum: int = 0
 
     # ------------------------------------------------------------------
@@ -53,21 +75,9 @@ class LogRecord:
     # ------------------------------------------------------------------
     def compute_checksum(self) -> int:
         """CRC32 over a canonical encoding of every payload field."""
-        header = (
-            f"{self.lsn}|{self.record_type.value}|{self.txn_id}|"
-            f"{self.page_id}|{self.slot}|{self.prev_lsn}|"
-            f"{self.undo_next_lsn}|"
-        ).encode("ascii")
-        crc = zlib.crc32(header)
-        # Length-prefix each image so (b"ab", b"") and (b"a", b"b")
-        # cannot collide, and None stays distinct from b"".
-        for image in (self.before, self.after):
-            if image is None:
-                crc = zlib.crc32(b"-", crc)
-            else:
-                crc = zlib.crc32(f"{len(image)}:".encode("ascii"), crc)
-                crc = zlib.crc32(image, crc)
-        return crc & 0xFFFFFFFF
+        return record_crc(self.lsn, self.record_type, self.txn_id,
+                          self.page_id, self.slot, self.prev_lsn,
+                          self.undo_next_lsn, self.before, self.after)
 
     def with_checksum(self) -> "LogRecord":
         """A copy of this record carrying its computed checksum."""

@@ -69,3 +69,27 @@ class TestPolicySnapshot:
         assert core.access.access(page, 0, 64, False).served_tier is Tier.NVM
         core.slot.set(SPITFIRE_EAGER)
         assert core.access.access(page, 0, 64, False).served_tier is Tier.DRAM
+
+
+class TestPlainPageHit:
+    def test_served_without_fine_grained_ops(self):
+        """A DRAM hit on a plain page marks it dirty and charges one DRAM
+        transfer itself; only partial layouts reach FineGrainedOps."""
+        core = make_core(policy=SPITFIRE_EAGER)
+        page = core.store.allocate().page_id
+        core.access.access(page, 0, 64, is_write=False)
+
+        def unexpected(*args):
+            raise AssertionError("plain-page hit reached FineGrainedOps")
+
+        core.fine.serve_resident_access = unexpected
+        dram = core.hierarchy.device(Tier.DRAM)
+        before = dram.snapshot_counters()
+        assert core.access.access(page, 0, 64, is_write=False).hit
+        result = core.access.access(page, 64, 128, is_write=True)
+        assert result.hit and result.served_tier is Tier.DRAM
+        after = dram.snapshot_counters()
+        assert after.read_ops - before.read_ops == 1
+        assert after.write_ops - before.write_ops == 1
+        assert after.write_bytes - before.write_bytes == 128
+        assert core.chain.node(Tier.DRAM).pool.get(page).dirty

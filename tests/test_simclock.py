@@ -3,8 +3,16 @@
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.hardware.simclock import CostAccumulator, ResourceUsage, SimClock
+from repro.hardware.simclock import (
+    FP_SCALE,
+    CostAccumulator,
+    ResourceUsage,
+    SimClock,
+    to_fp,
+)
 
 
 class TestSimClock:
@@ -150,3 +158,65 @@ class TestDelta:
         snap = cost.snapshot()
         cost.charge("cpu", 100.0)
         assert snap["cpu"].busy_ns == pytest.approx(100.0)
+
+
+CPU = CostAccumulator.CPU
+SERVICE_NS = st.one_of(
+    st.floats(min_value=0.0, max_value=1e7, allow_nan=False),
+    # Exact halves of a fixed-point unit: round-half-to-even territory.
+    st.integers(0, 1 << 24).map(lambda k: (k + 0.5) / FP_SCALE),
+)
+STEPS = st.lists(st.one_of(
+    st.tuples(st.just("charge"), st.sampled_from([CPU, "dram", "nvm", "ssd"]),
+              SERVICE_NS, st.integers(0, 1 << 16)),
+    st.just(("begin",)),
+    st.just(("end",)),
+), max_size=60)
+
+
+class TestChargeEquivalence:
+    """``charge`` quantises and commits inline; it must land exactly
+    where ``charge_fp(to_fp(ns))`` through the commit helpers lands,
+    one operation per call, batched or not."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(STEPS)
+    def test_charge_matches_quantised_reference(self, steps):
+        cost, reference = CostAccumulator(), CostAccumulator()
+        depth, pending, charges = 0, [], 0
+
+        def assert_same():
+            ours, theirs = cost.snapshot(), reference.snapshot()
+            assert ours == theirs
+            assert list(ours) == list(theirs)
+            assert cost.total_fp == reference.total_fp
+            if depth == 0:
+                assert sum(u.operations for u in ours.values()) == charges
+
+        for step in steps:
+            if step[0] == "begin":
+                cost.begin_cpu_batch()
+                depth += 1
+            elif step[0] == "end":
+                cost.end_cpu_batch()
+                depth = max(0, depth - 1)
+                if depth == 0 and pending:
+                    reference.charge_batch_fp(CPU, sum(pending), len(pending))
+                    pending = []
+            else:
+                _, resource, service_ns, nbytes = step
+                cost.charge(resource, service_ns, nbytes)
+                charges += 1
+                if resource == CPU and depth:
+                    reference.reserve(CPU)
+                    pending.append(to_fp(service_ns))
+                else:
+                    reference.charge_batch_fp(resource, to_fp(service_ns), 1,
+                                              nbytes)
+            assert_same()
+        while depth:
+            cost.end_cpu_batch()
+            depth -= 1
+        if pending:
+            reference.charge_batch_fp(CPU, sum(pending), len(pending))
+        assert_same()

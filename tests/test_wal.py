@@ -124,6 +124,56 @@ class TestGroupCommitMode:
         log = LogManager(hierarchy)
         assert not log.uses_nvm
 
+    @staticmethod
+    def commits_until_flush(log, first_txn):
+        """Commit until a group flush happens; return how many it took."""
+        flushed = log.stats.group_commits
+        txn = first_txn
+        while log.stats.group_commits == flushed:
+            log.append(LogRecordType.BEGIN, txn_id=txn)
+            log.commit(txn_id=txn)
+            txn += 1
+        return txn - first_txn
+
+    def test_group_count_restarts_after_crash(self):
+        """Commits lost in a crash do not count toward the next group."""
+        log = LogManager(dram_hierarchy(), group_commit_size=4)
+        for txn in (1, 2, 3):
+            log.commit(txn_id=txn)
+        assert log.simulate_crash() == 3
+        assert self.commits_until_flush(log, first_txn=4) == 4
+        assert self.commits_until_flush(log, first_txn=8) == 4
+
+    def test_group_count_restarts_after_forced_flush(self):
+        """Commits flushed by the WAL rule start a fresh group."""
+        log = LogManager(dram_hierarchy(), group_commit_size=4)
+        for txn in (1, 2, 3):
+            last = log.commit(txn_id=txn)
+        log.ensure_durable(last.lsn)
+        assert log.stats.wal_guard_flushes == 1
+        assert log.durable_lsn == last.lsn
+        assert self.commits_until_flush(log, first_txn=4) == 4
+        assert self.commits_until_flush(log, first_txn=8) == 4
+
+    def test_only_commit_records_fill_a_group(self):
+        log = LogManager(dram_hierarchy(), group_commit_size=2)
+        for _ in range(10):
+            log.append(LogRecordType.UPDATE, txn_id=1, after=b"u")
+        log.commit(txn_id=1)
+        assert log.stats.group_commits == 0
+        log.append(LogRecordType.COMMIT, txn_id=2)
+        log.commit(txn_id=3)
+        assert log.stats.group_commits == 1
+
+
+class TestUsesNvm:
+    def test_fixed_by_hierarchy_mode(self):
+        assert LogManager(nvm_hierarchy()).uses_nvm
+        assert not LogManager(dram_hierarchy()).uses_nvm
+        memory_mode = StorageHierarchy(HierarchyShape(1, 4, 100), SCALE,
+                                       memory_mode=True)
+        assert not LogManager(memory_mode).uses_nvm
+
 
 class TestRecoveredRecords:
     def test_in_lsn_order_and_complete(self):

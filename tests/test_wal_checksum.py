@@ -11,15 +11,19 @@ barrier plus the truncation bound that protect stolen pages.
 import dataclasses
 import json
 import random
+from pathlib import Path
+
+import pytest
 
 from repro.core.policy import DRAM_SSD_POLICY, SPITFIRE_LAZY
 from repro.engine.engine import EngineConfig, StorageEngine
-from repro.faults.plan import TailFault
+from repro.faults.injector import inject_faults
+from repro.faults.plan import FaultPlan, FaultSchedule, TailFault
 from repro.hardware.cost_model import StorageHierarchy
 from repro.hardware.pricing import HierarchyShape
-from repro.hardware.specs import SimulationScale
+from repro.hardware.specs import SimulationScale, Tier
 from repro.wal.log_manager import LogManager
-from repro.wal.records import LogRecord, LogRecordType
+from repro.wal.records import LogRecord, LogRecordType, record_crc
 from repro.wal.recovery import RecoveryManager
 
 SCALE = SimulationScale(pages_per_gb=8)
@@ -93,6 +97,77 @@ class TestRecordChecksum:
         a = self.make(before=None).compute_checksum()
         b = self.make(before=b"").compute_checksum()
         assert a != b
+
+
+# ----------------------------------------------------------------------
+# Pinned checksum bytes: the canonical encoding never drifts
+# ----------------------------------------------------------------------
+#: CRCs recorded from the original two-pass encoding (build the record,
+#: then ``compute_checksum`` over its fields) for every record type and
+#: for None, empty and non-empty images.  Case ``i`` has LSN ``i + 1``,
+#: so appending the cases in order to a fresh log reproduces them.
+CHECKSUM_CASES = json.loads(
+    (Path(__file__).parent / "fixtures" / "wal_checksums.json").read_text()
+)["cases"]
+
+
+def fixture_args(case):
+    def image(hex_text):
+        return None if hex_text is None else bytes.fromhex(hex_text)
+
+    return dict(record_type=LogRecordType(case["record_type"]),
+                txn_id=case["txn_id"], page_id=case["page_id"],
+                slot=case["slot"], prev_lsn=case["prev_lsn"],
+                before=image(case["before"]), after=image(case["after"]),
+                undo_next_lsn=case["undo_next_lsn"])
+
+
+class TestPinnedChecksums:
+    def test_fixture_covers_every_type_and_image_kind(self):
+        assert ({c["record_type"] for c in CHECKSUM_CASES}
+                == {t.value for t in LogRecordType})
+        for side in ("before", "after"):
+            kinds = {None if c[side] is None else bool(c[side])
+                     for c in CHECKSUM_CASES}
+            assert kinds == {None, False, True}
+
+    def test_compute_checksum_reproduces_recorded_values(self):
+        for case in CHECKSUM_CASES:
+            args = fixture_args(case)
+            record = LogRecord(lsn=case["lsn"], **args)
+            assert record.compute_checksum() == case["checksum"], case
+            assert record_crc(
+                case["lsn"], args["record_type"], args["txn_id"],
+                args["page_id"], args["slot"], args["prev_lsn"],
+                args["undo_next_lsn"], args["before"], args["after"],
+            ) == case["checksum"]
+
+    @pytest.mark.parametrize("nvm_gb", [8.0, 0.0])
+    def test_append_reproduces_recorded_values(self, nvm_gb):
+        hierarchy = StorageHierarchy(HierarchyShape(2.0, nvm_gb, 100.0), SCALE)
+        log = LogManager(hierarchy, nvm_buffer_bytes=4096)
+        for case in CHECKSUM_CASES:
+            record = log.append(**fixture_args(case))
+            assert record.lsn == case["lsn"]
+            assert record.checksum == case["checksum"], case
+            assert record.checksum == record.compute_checksum()
+            assert record.verify()
+
+    def test_fault_device_installed_after_log_sees_its_writes(self):
+        """The log looks its NVM device up per append, so a FaultyDevice
+        swapped in after the log exists still intercepts the writes."""
+        hierarchy = StorageHierarchy(HierarchyShape(2.0, 8.0, 100.0), SCALE)
+        log = LogManager(hierarchy)
+        log.append(LogRecordType.BEGIN, txn_id=1)
+        handle = inject_faults(hierarchy, FaultPlan(schedules={
+            "nvm": FaultSchedule(write_errors=frozenset({0}))}))
+        record = log.append(LogRecordType.UPDATE, txn_id=1, after=b"x" * 64)
+        assert handle.faults_injected() == 1
+        assert handle.retries() == 1
+        assert record.verify()
+        counters = hierarchy.device(Tier.NVM).snapshot_counters()
+        assert counters.write_ops == 2
+        assert counters.persist_barriers == 2
 
 
 # ----------------------------------------------------------------------
